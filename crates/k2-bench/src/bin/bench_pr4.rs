@@ -212,7 +212,7 @@ fn median2(a: MicroResult, b: MicroResult) -> MicroResult {
 /// a slice of the backlog, then drains a few events through `pop_with`
 /// with a rotating choice. `churn_ref` must mirror this loop exactly.
 fn churn_slab(q: &mut EventQueue<u64>) -> u64 {
-    let mut rng = SimRng::seed_from_stream(0xB0_4, 7);
+    let mut rng = SimRng::seed_from_stream(0xB04, 7);
     let mut fired = 0u64;
     let mut backlog = Vec::with_capacity(64);
     for round in 0..CHURN_ROUNDS {
@@ -246,7 +246,7 @@ fn churn_slab(q: &mut EventQueue<u64>) -> u64 {
 /// `co_enabled_len()` scan its real callers performed before every
 /// `pop_with` — part of the cost the slab design removes.
 fn churn_ref(q: &mut RefQueue<u64>) -> u64 {
-    let mut rng = SimRng::seed_from_stream(0xB0_4, 7);
+    let mut rng = SimRng::seed_from_stream(0xB04, 7);
     let mut fired = 0u64;
     let mut backlog = Vec::with_capacity(64);
     for round in 0..CHURN_ROUNDS {

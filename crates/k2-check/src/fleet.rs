@@ -528,8 +528,11 @@ pub struct EpochSample {
     pub events: u64,
     /// Datagrams drained from machine egress rings this epoch.
     pub egress: u64,
-    /// Of those, datagrams the fabric queued for delivery.
-    pub delivered: u64,
+    /// Of those, datagrams the fabric queued in flight. Not deliveries:
+    /// a datagram queued here is taken out of the fabric in a later
+    /// epoch, or is still in flight when the run ends, so over a run
+    /// `Σ queued = delivered + in_flight_end`.
+    pub queued: u64,
     /// Datagrams the loss model dropped this epoch.
     pub dropped: u64,
     /// Datagrams that drew reorder jitter this epoch.
@@ -667,8 +670,8 @@ impl FleetTimeline {
             w.u64(self.events_per_sec(i));
             w.key("egress");
             w.u64(s.egress);
-            w.key("delivered");
-            w.u64(s.delivered);
+            w.key("queued");
+            w.u64(s.queued);
             w.key("dropped");
             w.u64(s.dropped);
             w.key("reordered");
@@ -1051,7 +1054,9 @@ fn run_fleet_inner(
     let epochs_id = reg.counter_id(Key::new("fleet.epochs", Tag::Whole));
     let events_id = reg.counter_id(Key::new("fleet.events", Tag::Whole));
     let egress_id = reg.counter_id(Key::new("fleet.egress", Tag::Whole));
-    let deliver_id = reg.counter_id(Key::new("fleet.delivered", Tag::Whole));
+    // Bumped by each epoch's queued count. The key keeps its historical
+    // name because the pinned sim digest folds the registry in.
+    let queued_id = reg.counter_id(Key::new("fleet.delivered", Tag::Whole));
 
     let mut bounds = Vec::with_capacity(shards);
     for s in 0..shards as u32 {
@@ -1131,7 +1136,7 @@ fn run_fleet_inner(
                         if let k2_kernel::net::Route::Queued(_) =
                             fabric.route(until, MachineAddr(src as u16), dg)
                         {
-                            sample.delivered += 1;
+                            sample.queued += 1;
                         }
                     }
                     delivery_bufs[s] = o.deliveries;
@@ -1143,7 +1148,7 @@ fn run_fleet_inner(
                 reg.add_by_id(epochs_id, 1);
                 reg.add_by_id(events_id, sample.events);
                 reg.add_by_id(egress_id, sample.egress);
-                reg.add_by_id(deliver_id, sample.delivered);
+                reg.add_by_id(queued_id, sample.queued);
                 events_total += sample.events;
                 samples.push(sample);
                 now = until;
@@ -1355,21 +1360,29 @@ mod tests {
 
     #[test]
     fn timeline_counts_reconcile_with_the_report() {
-        let r = run_fleet(&{
+        // The second run stops mid-storm, so it ends with datagrams
+        // still in flight.
+        let settled = {
             let mut s = small();
             s.workers = 2;
             s
-        });
-        assert_eq!(r.timeline.samples.len(), r.epochs as usize);
-        let events: u64 = r.timeline.samples.iter().map(|s| s.events).sum();
-        assert_eq!(events, r.events);
-        let dropped: u64 = r.timeline.samples.iter().map(|s| s.dropped).sum();
-        assert_eq!(dropped, r.dropped);
-        let delivered: u64 = r.timeline.samples.iter().map(|s| s.delivered).sum();
-        assert_eq!(delivered, r.delivered);
-        // Cumulative energy is monotone.
-        for w in r.timeline.samples.windows(2) {
-            assert!(w[1].energy_uj >= w[0].energy_uj);
+        };
+        let mut unsettled = settled.clone();
+        unsettled.epochs = 6;
+        for (spec, ends_in_flight) in [(settled, false), (unsettled, true)] {
+            let r = run_fleet(&spec);
+            assert_eq!(r.in_flight_end > 0, ends_in_flight);
+            assert_eq!(r.timeline.samples.len(), r.epochs as usize);
+            let events: u64 = r.timeline.samples.iter().map(|s| s.events).sum();
+            assert_eq!(events, r.events);
+            let dropped: u64 = r.timeline.samples.iter().map(|s| s.dropped).sum();
+            assert_eq!(dropped, r.dropped);
+            let queued: u64 = r.timeline.samples.iter().map(|s| s.queued).sum();
+            assert_eq!(queued, r.delivered + r.in_flight_end as u64);
+            // Cumulative energy is monotone.
+            for w in r.timeline.samples.windows(2) {
+                assert!(w[1].energy_uj >= w[0].energy_uj);
+            }
         }
     }
 

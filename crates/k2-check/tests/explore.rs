@@ -61,7 +61,6 @@ fn conservation_holds_under_faults_on_every_schedule() {
         mail_duplicate: 0.08,
         dma_fail: 0.10,
         dma_partial: 0.10,
-        ..FaultSpec::none()
     };
     for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
         let report = Explorer::new(scenario, seed())

@@ -17,14 +17,19 @@
 //! drops, the same latencies and the same delivery order — regardless of
 //! how many worker threads advanced the machines.
 //!
-//! Delivery order is *digest-stable*: in-flight datagrams are handed out
-//! by [`NetFabric::take_due`] sorted by `(arrival time, route sequence)`,
-//! so ties between datagrams arriving at the same instant break on the
-//! deterministic route order, never on heap or hash iteration order.
+//! Delivery order is *digest-stable*: in-flight datagrams wait in a
+//! min-heap keyed by `(arrival time, route sequence)` and
+//! [`NetFabric::take_due`] pops them in that order, so ties between
+//! datagrams arriving at the same instant break on the deterministic
+//! route order. The key is unique, so the order is total: no heap
+//! layout or hash iteration order can leak into it.
 
 use crate::net::udp::{EgressDatagram, MachineAddr, Port};
 use k2_sim::time::{SimDuration, SimTime};
 use k2_sim::SimRng;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// Stream ids for [`SimRng::seed_from_stream`] — disjoint from the
 /// scheduler/chooser streams the rest of the simulator uses, so fabric
@@ -66,6 +71,36 @@ pub struct InFlight {
     /// fabric never reads or rewrites it, so tracing cannot perturb
     /// routing decisions.
     pub trace: k2_sim::span::TraceCtx,
+}
+
+/// An in-flight datagram ordered by its delivery key `(arrival, seq)`.
+#[derive(Clone, Debug)]
+struct Keyed(InFlight);
+
+impl Keyed {
+    fn key(&self) -> (SimTime, u64) {
+        (self.0.arrival, self.0.seq)
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// Counters of everything the fabric did.
@@ -142,7 +177,8 @@ pub struct NetFabric {
     rng_drop: SimRng,
     rng_latency: SimRng,
     rng_reorder: SimRng,
-    in_flight: Vec<InFlight>,
+    /// Datagrams in flight, earliest `(arrival, seq)` on top.
+    in_flight: BinaryHeap<Reverse<Keyed>>,
     seq: u64,
     stats: FabricStats,
 }
@@ -162,7 +198,7 @@ impl NetFabric {
                 rng_drop: SimRng::seed_from_stream(seed, STREAM_DROP),
                 rng_latency: SimRng::seed_from_stream(seed, STREAM_LATENCY),
                 rng_reorder: SimRng::seed_from_stream(seed, STREAM_REORDER),
-                in_flight: Vec::new(),
+                in_flight: BinaryHeap::new(),
                 seq: 0,
                 stats: FabricStats::default(),
             },
@@ -197,7 +233,7 @@ impl NetFabric {
         }
         let arrival = now + SimDuration::from_ns(latency);
         self.seq += 1;
-        self.in_flight.push(InFlight {
+        self.in_flight.push(Reverse(Keyed(InFlight {
             arrival,
             seq: self.seq,
             src,
@@ -206,7 +242,7 @@ impl NetFabric {
             src_port: d.src_port,
             payload: d.payload,
             trace: d.trace,
-        });
+        })));
         let depth = self.in_flight.len() as u64;
         if depth > self.stats.max_in_flight {
             self.stats.max_in_flight = depth;
@@ -215,13 +251,16 @@ impl NetFabric {
     }
 
     /// Moves every in-flight datagram arriving at or before `until` into
-    /// `buf` (appending), sorted by `(arrival, seq)` — the digest-stable
-    /// delivery order. The remainder stays in flight. `buf` is a caller
-    /// scratch buffer; steady state allocates nothing.
+    /// `buf` (appending), in `(arrival, seq)` order — the digest-stable
+    /// delivery order. The remainder stays in flight, and only the due
+    /// datagrams are touched: each pops off the heap in `O(log n)`.
+    /// `buf` is a caller scratch buffer; steady state allocates nothing.
     pub fn take_due(&mut self, until: SimTime, buf: &mut Vec<InFlight>) {
-        self.in_flight.sort_unstable_by_key(|f| (f.arrival, f.seq));
-        let cut = self.in_flight.partition_point(|f| f.arrival <= until);
-        for f in self.in_flight.drain(..cut) {
+        while let Some(top) = self.in_flight.peek_mut() {
+            if top.0 .0.arrival > until {
+                break;
+            }
+            let Reverse(Keyed(f)) = PeekMut::pop(top);
             self.stats.delivered += 1;
             self.stats.delivered_bytes += f.payload.len() as u64;
             buf.push(f);
@@ -324,6 +363,53 @@ mod tests {
         assert_eq!(due.len(), 3);
         assert_eq!(f.stats().delivered, 3);
         assert_eq!(f.stats().delivered_bytes, 3);
+        // Many datagrams over several epochs, with latency spread and
+        // reorder jitter so arrivals interleave across route order:
+        // every epoch's deliveries match a sort-based reference.
+        let mut f = NetFabric::builder(2014, 16)
+            .latency(SimDuration::from_us(200), SimDuration::from_ms(3))
+            .loss(0.1)
+            .reorder(0.3)
+            .build();
+        let mut reference: Vec<(SimTime, u64, u16)> = Vec::new();
+        let mut queued = 0u64;
+        let mut due = Vec::new();
+        let epoch = SimDuration::from_ms(1);
+        let mut now = SimTime::ZERO;
+        for e in 0..16u16 {
+            // Route for the first eight epochs, then drain.
+            for i in 0..(if e < 8 { 40u16 } else { 0 }) {
+                let id = e * 40 + i;
+                let mut d = dg(id % 16, 0);
+                d.payload = id.to_le_bytes().to_vec();
+                let at = now + SimDuration::from_us(u64::from(i) * 20);
+                if let Route::Queued(arrival) = f.route(at, MachineAddr(i % 16), d) {
+                    queued += 1;
+                    reference.push((arrival, queued, id));
+                }
+            }
+            now += epoch;
+            reference.sort_unstable();
+            let cut = reference.partition_point(|r| r.0 <= now);
+            let expected: Vec<(SimTime, u64, u16)> = reference.drain(..cut).collect();
+            due.clear();
+            f.take_due(now, &mut due);
+            let got: Vec<(SimTime, u64, u16)> = due
+                .iter()
+                .map(|d| {
+                    (
+                        d.arrival,
+                        d.seq,
+                        u16::from_le_bytes([d.payload[0], d.payload[1]]),
+                    )
+                })
+                .collect();
+            assert_eq!(got, expected, "epoch {e}");
+            assert_eq!(f.in_flight(), reference.len());
+        }
+        assert!(reference.is_empty(), "every datagram delivered by the end");
+        assert_eq!(f.stats().delivered, queued);
+        assert!(f.stats().reordered > 0 && f.stats().dropped > 0);
     }
 
     #[test]

@@ -116,28 +116,16 @@ impl OpCx {
         &self.fresh
     }
 
-    /// Consumes the context into its trace.
-    pub fn into_trace(self) -> OpTrace {
-        OpTrace {
-            cost: self.cost,
-            reads: self.reads,
-            writes: self.writes,
-            fresh: self.fresh,
-        }
+    /// Empties the context for the next operation: cost back to zero,
+    /// every page list emptied. The lists keep their capacity, so a
+    /// context reused across operations stops allocating once it has
+    /// seen its largest operation.
+    pub fn clear(&mut self) {
+        self.cost = Cost::default();
+        self.reads.clear();
+        self.writes.clear();
+        self.fresh.clear();
     }
-}
-
-/// The complete access trace of one operation.
-#[derive(Clone, Debug, Default)]
-pub struct OpTrace {
-    /// Total cost.
-    pub cost: Cost,
-    /// Pages read (including written).
-    pub reads: Vec<StatePage>,
-    /// Pages written.
-    pub writes: Vec<StatePage>,
-    /// Pages freshly allocated.
-    pub fresh: Vec<StatePage>,
 }
 
 #[cfg(test)]
@@ -172,14 +160,18 @@ mod tests {
     }
 
     #[test]
-    fn into_trace_round_trip() {
+    fn clear_resets_cost_and_pages() {
         let mut cx = OpCx::new();
         cx.charge(Cost::instr(1));
+        cx.alloc(4);
         cx.read(0);
-        let t = cx.into_trace();
-        assert_eq!(t.cost, Cost::instr(1));
-        assert_eq!(t.reads.len(), 1);
-        assert!(t.writes.is_empty());
+        cx.clear();
+        assert_eq!(cx.cost(), Cost::default());
+        assert!(cx.reads().is_empty() && cx.writes().is_empty() && cx.fresh().is_empty());
+        // A cleared context records afresh, as a new one would.
+        cx.read(4);
+        assert_eq!(cx.reads(), &[StatePage(4)]);
+        assert!(cx.fresh().is_empty());
     }
 
     #[test]

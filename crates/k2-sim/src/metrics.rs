@@ -56,6 +56,7 @@ use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Where a metric was observed.
 ///
@@ -119,20 +120,23 @@ impl fmt::Display for Key {
 }
 
 /// Interned handle to a counter. Bumping by id is a vector index.
+///
+/// Every id type stores its index plus one, so an `Option` of an id is
+/// as small as the id: per-machine id caches stay at four bytes a slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(u32);
+pub struct CounterId(NonZeroU32);
 
 /// Interned handle to a duration accumulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DurationId(u32);
+pub struct DurationId(NonZeroU32);
 
 /// Interned handle to a time-weighted gauge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(u32);
+pub struct GaugeId(NonZeroU32);
 
 /// Interned handle to a histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramId(u32);
+pub struct HistogramId(NonZeroU32);
 
 /// A gauge whose *time integral* is tracked alongside its instantaneous
 /// value: `set` closes the interval since the previous `set` at the old
@@ -287,7 +291,7 @@ impl Registry {
 
     /// Adds `n` to an interned counter. O(1), no key walk.
     pub fn add_by_id(&mut self, id: CounterId, n: u64) {
-        self.counter_values[id.0 as usize] += n;
+        self.counter_values[slot(id.0)] += n;
     }
 
     /// Adds one to an interned counter.
@@ -306,11 +310,21 @@ impl Registry {
         self.add(key, 1);
     }
 
+    /// Adds `n` to the counter at `key` through a caller-owned id cache:
+    /// the first call interns `key` into `slot`, every later call is a
+    /// vector index with no key walk. A slot stays `None` until the
+    /// first real bump, so a cache never creates a zero-valued entry and
+    /// keys are interned in the same order as through [`Registry::add`].
+    pub fn add_cached(&mut self, slot: &mut Option<CounterId>, key: Key, n: u64) {
+        let id = *slot.get_or_insert_with(|| self.counter_id(key));
+        self.add_by_id(id, n);
+    }
+
     /// Current value of the counter at `key` (0 if never touched).
     pub fn counter(&self, key: Key) -> u64 {
         self.counter_ids
             .get(&key)
-            .map(|id| self.counter_values[id.0 as usize])
+            .map(|id| self.counter_values[slot(id.0)])
             .unwrap_or(0)
     }
 
@@ -320,7 +334,7 @@ impl Registry {
         self.counter_ids
             .iter()
             .filter(|(k, _)| k.name == name)
-            .map(|(_, id)| self.counter_values[id.0 as usize])
+            .map(|(_, id)| self.counter_values[slot(id.0)])
             .sum()
     }
 
@@ -339,7 +353,7 @@ impl Registry {
 
     /// Accumulates a duration into an interned accumulator. O(1).
     pub fn add_duration_by_id(&mut self, id: DurationId, d: SimDuration) {
-        self.duration_values[id.0 as usize] += d;
+        self.duration_values[slot(id.0)] += d;
     }
 
     /// Accumulates a simulated-time duration at `key` (the attribution
@@ -349,11 +363,18 @@ impl Registry {
         self.add_duration_by_id(id, d);
     }
 
+    /// [`Registry::add_duration`] through a caller-owned id cache (see
+    /// [`Registry::add_cached`]).
+    pub fn add_duration_cached(&mut self, slot: &mut Option<DurationId>, key: Key, d: SimDuration) {
+        let id = *slot.get_or_insert_with(|| self.duration_id(key));
+        self.add_duration_by_id(id, d);
+    }
+
     /// Total duration accumulated at `key`.
     pub fn duration(&self, key: Key) -> SimDuration {
         self.duration_ids
             .get(&key)
-            .map(|id| self.duration_values[id.0 as usize])
+            .map(|id| self.duration_values[slot(id.0)])
             .unwrap_or(SimDuration::ZERO)
     }
 
@@ -369,7 +390,7 @@ impl Registry {
             }
             Entry::Occupied(e) => {
                 let id = *e.get();
-                self.gauge_values[id.0 as usize].set(at, value);
+                self.gauge_values[slot(id.0)].set(at, value);
                 id
             }
         }
@@ -377,14 +398,14 @@ impl Registry {
 
     /// Sets an interned gauge. O(1).
     pub fn gauge_set_by_id(&mut self, id: GaugeId, at: SimTime, value: f64) {
-        self.gauge_values[id.0 as usize].set(at, value);
+        self.gauge_values[slot(id.0)].set(at, value);
     }
 
     /// The gauge at `key`, if ever set.
     pub fn gauge(&self, key: Key) -> Option<&TimeWeightedGauge> {
         self.gauge_ids
             .get(&key)
-            .map(|id| &self.gauge_values[id.0 as usize])
+            .map(|id| &self.gauge_values[slot(id.0)])
     }
 
     /// Interns `key` as a histogram (creating it empty) and returns its id.
@@ -401,7 +422,7 @@ impl Registry {
 
     /// Records a sample into an interned histogram. O(1) beyond bucketing.
     pub fn observe_by_id(&mut self, id: HistogramId, value: u64) {
-        self.histogram_values[id.0 as usize].record(value);
+        self.histogram_values[slot(id.0)].record(value);
     }
 
     /// Records a duration sample (in nanoseconds) into an interned
@@ -422,39 +443,51 @@ impl Registry {
         self.observe(key, d.as_ns());
     }
 
+    /// [`Registry::observe_duration`] through a caller-owned id cache
+    /// (see [`Registry::add_cached`]).
+    pub fn observe_duration_cached(
+        &mut self,
+        slot: &mut Option<HistogramId>,
+        key: Key,
+        d: SimDuration,
+    ) {
+        let id = *slot.get_or_insert_with(|| self.histogram_id(key));
+        self.observe_duration_by_id(id, d);
+    }
+
     /// The histogram at `key`, if any sample landed there.
     pub fn histogram(&self, key: Key) -> Option<&Histogram> {
         self.histogram_ids
             .get(&key)
-            .map(|id| &self.histogram_values[id.0 as usize])
+            .map(|id| &self.histogram_values[slot(id.0)])
     }
 
     /// All counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&Key, u64)> + '_ {
         self.counter_ids
             .iter()
-            .map(|(k, id)| (k, self.counter_values[id.0 as usize]))
+            .map(|(k, id)| (k, self.counter_values[slot(id.0)]))
     }
 
     /// All duration accumulators in key order.
     pub fn durations(&self) -> impl Iterator<Item = (&Key, SimDuration)> + '_ {
         self.duration_ids
             .iter()
-            .map(|(k, id)| (k, self.duration_values[id.0 as usize]))
+            .map(|(k, id)| (k, self.duration_values[slot(id.0)]))
     }
 
     /// All gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&Key, &TimeWeightedGauge)> + '_ {
         self.gauge_ids
             .iter()
-            .map(|(k, id)| (k, &self.gauge_values[id.0 as usize]))
+            .map(|(k, id)| (k, &self.gauge_values[slot(id.0)]))
     }
 
     /// All histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&Key, &Histogram)> + '_ {
         self.histogram_ids
             .iter()
-            .map(|(k, id)| (k, &self.histogram_values[id.0 as usize]))
+            .map(|(k, id)| (k, &self.histogram_values[slot(id.0)]))
     }
 
     /// Folds the registry's complete state — every key directory and
@@ -525,17 +558,26 @@ impl Registry {
             .iter()
             .filter_map(move |(k, id)| match k.tag {
                 Tag::CoreSubsystem(c, s) if c == core && k.name == name => {
-                    Some((s, self.duration_values[id.0 as usize]))
+                    Some((s, self.duration_values[slot(id.0)]))
                 }
                 _ => None,
             })
     }
 }
 
-/// Converts a dense vector length into the next id, guarding the u32
-/// id space (four billion distinct keys means something is very wrong).
-fn dense_index(len: usize) -> u32 {
-    u32::try_from(len).expect("metric id space exhausted")
+/// Converts a dense vector length into the next id (index plus one),
+/// guarding the u32 id space (four billion distinct keys means
+/// something is very wrong).
+fn dense_index(len: usize) -> NonZeroU32 {
+    u32::try_from(len + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+        .expect("metric id space exhausted")
+}
+
+/// The value-vector index an id stores (see [`dense_index`]).
+fn slot(id: NonZeroU32) -> usize {
+    id.get() as usize - 1
 }
 
 #[cfg(test)]

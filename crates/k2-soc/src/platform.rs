@@ -204,55 +204,6 @@ impl HotIds {
     }
 }
 
-/// Adds `n` to a counter through a lazily-interned id cache.
-fn add_hot(metrics: &mut Registry, slot: &mut Option<CounterId>, key: Key, n: u64) {
-    let id = match *slot {
-        Some(id) => id,
-        None => {
-            let id = metrics.counter_id(key);
-            *slot = Some(id);
-            id
-        }
-    };
-    metrics.add_by_id(id, n);
-}
-
-/// Accumulates a duration through a lazily-interned id cache.
-fn add_duration_hot(
-    metrics: &mut Registry,
-    slot: &mut Option<DurationId>,
-    key: Key,
-    d: SimDuration,
-) {
-    let id = match *slot {
-        Some(id) => id,
-        None => {
-            let id = metrics.duration_id(key);
-            *slot = Some(id);
-            id
-        }
-    };
-    metrics.add_duration_by_id(id, d);
-}
-
-/// Records a duration sample through a lazily-interned id cache.
-fn observe_duration_hot(
-    metrics: &mut Registry,
-    slot: &mut Option<HistogramId>,
-    key: Key,
-    d: SimDuration,
-) {
-    let id = match *slot {
-        Some(id) => id,
-        None => {
-            let id = metrics.histogram_id(key);
-            *slot = Some(id);
-            id
-        }
-    };
-    metrics.observe_duration_by_id(id, d);
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Event {
     StepDone { core: CoreId, epoch: u64 },
@@ -1034,8 +985,7 @@ impl<W> Machine<W> {
     /// per-core attribution table sums to the meter's active time.
     fn attribute(&mut self, core: CoreId, subsystem: &'static str, dur: SimDuration) {
         if !dur.is_zero() {
-            add_duration_hot(
-                &mut self.metrics,
+            self.metrics.add_duration_cached(
                 &mut self.hot_ids.active[core.index()][sub_slot(subsystem)],
                 Key::new("active", Tag::CoreSubsystem(core.0, subsystem)),
                 dur,
@@ -1826,8 +1776,7 @@ impl<W> Machine<W> {
             span,
         };
         let pair = self.hot_ids.pair(from, to);
-        add_hot(
-            &mut self.metrics,
+        self.metrics.add_cached(
             &mut self.hot_ids.mail_sent[pair],
             Key::new("mail.sent", Tag::DomainPair(from.0, to.0)),
             1,
@@ -1972,14 +1921,12 @@ impl<W> Machine<W> {
         lead: SimDuration,
     ) -> DmaXferId {
         let id = self.dma.submit_after(self.now, src, dst, len, lead);
-        add_hot(
-            &mut self.metrics,
+        self.metrics.add_cached(
             &mut self.hot_ids.dma_submitted,
             Key::new("dma.submitted", Tag::Whole),
             1,
         );
-        add_hot(
-            &mut self.metrics,
+        self.metrics.add_cached(
             &mut self.hot_ids.dma_bytes_submitted,
             Key::new("dma.bytes_submitted", Tag::Whole),
             len,
@@ -2246,15 +2193,13 @@ impl<W> Machine<W> {
                         payload: env.mail.0,
                     },
                 );
-                add_hot(
-                    &mut self.metrics,
+                self.metrics.add_cached(
                     &mut self.hot_ids.mail_delivered[to.index()],
                     Key::new("mail.delivered", Tag::Domain(to.0)),
                     1,
                 );
                 let pair = self.hot_ids.pair(env.from, to);
-                observe_duration_hot(
-                    &mut self.metrics,
+                self.metrics.observe_duration_cached(
                     &mut self.hot_ids.mail_latency[pair],
                     Key::new("mail.latency", Tag::DomainPair(env.from.0, to.0)),
                     self.now.saturating_since(env.sent_at),
@@ -2279,8 +2224,7 @@ impl<W> Machine<W> {
                     for c in &mut completions {
                         if let Some((span, submitted)) = self.dma_inflight.remove(&c.id) {
                             self.spans.end(self.now, span);
-                            observe_duration_hot(
-                                &mut self.metrics,
+                            self.metrics.observe_duration_cached(
                                 &mut self.hot_ids.dma_xfer,
                                 Key::new("dma.xfer_ns", Tag::Whole),
                                 self.now.saturating_since(submitted),
@@ -2292,8 +2236,7 @@ impl<W> Machine<W> {
                         };
                         match fate {
                             DmaFate::Ok => {
-                                add_hot(
-                                    &mut self.metrics,
+                                self.metrics.add_cached(
                                     &mut self.hot_ids.dma_completed,
                                     Key::new("dma.completed", Tag::Whole),
                                     1,
@@ -2301,8 +2244,7 @@ impl<W> Machine<W> {
                                 self.ram.copy(c.src, c.dst, c.len as usize);
                             }
                             DmaFate::Fail => {
-                                add_hot(
-                                    &mut self.metrics,
+                                self.metrics.add_cached(
                                     &mut self.hot_ids.dma_failed,
                                     Key::new("dma.failed", Tag::Whole),
                                     1,
@@ -2317,8 +2259,7 @@ impl<W> Machine<W> {
                                 );
                             }
                             DmaFate::Partial(f) => {
-                                add_hot(
-                                    &mut self.metrics,
+                                self.metrics.add_cached(
                                     &mut self.hot_ids.dma_failed,
                                     Key::new("dma.failed", Tag::Whole),
                                     1,
@@ -2379,8 +2320,7 @@ impl<W> Machine<W> {
                 domain: dom.0,
             },
         );
-        add_hot(
-            &mut self.metrics,
+        self.metrics.add_cached(
             &mut self.hot_ids.irq_delivered[dom.index()],
             Key::new("irq.delivered", Tag::Domain(dom.0)),
             1,
@@ -2477,8 +2417,7 @@ impl<W> Machine<W> {
                         start: true,
                     },
                 );
-                add_hot(
-                    &mut self.metrics,
+                self.metrics.add_cached(
                     &mut self.hot_ids.sched_dispatch[core.index()],
                     Key::new("sched.dispatch", Tag::Core(core.0)),
                     1,

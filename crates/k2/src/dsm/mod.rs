@@ -20,7 +20,7 @@ use k2_kernel::service::{ServiceId, StatePage};
 use k2_sim::stats::Summary;
 use k2_soc::ids::DomainId;
 use k2_soc::mmu::{DetectionMode, Mmu, MmuKind};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Which protocol the DSM runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,9 +84,9 @@ pub struct Dsm {
     protocol: ProtocolImpl,
     choice: ProtocolChoice,
     mmus: Vec<Mmu>,
-    shared_sections: HashSet<u64>,
+    shared_sections: BTreeSet<u64>,
     /// Pages that have ever been accessed by a non-boot domain.
-    shared_pages: HashSet<DsmPage>,
+    shared_pages: BTreeSet<DsmPage>,
     stats: DsmStats,
 }
 
@@ -111,8 +111,8 @@ impl Dsm {
             protocol,
             choice,
             mmus: mmu_kinds.iter().map(|&k| Mmu::new(k)).collect(),
-            shared_sections: HashSet::new(),
-            shared_pages: HashSet::new(),
+            shared_sections: BTreeSet::new(),
+            shared_pages: BTreeSet::new(),
             stats: DsmStats::default(),
         }
     }
@@ -141,6 +141,10 @@ impl Dsm {
     /// Like [`Dsm::plan_accesses`], with `fresh` naming pages the operation
     /// allocated from the local pool — these are seeded to the requester
     /// and never fault.
+    ///
+    /// The page lists are an [`OpCx`](k2_kernel::service::OpCx)'s:
+    /// already deduplicated and a handful of pages long, so membership is
+    /// a slice scan — planning allocates only when a fault is planned.
     pub fn plan_accesses_with_fresh(
         &mut self,
         dom: DomainId,
@@ -150,7 +154,6 @@ impl Dsm {
         fresh: &[StatePage],
     ) -> AccessPlan {
         let mut plan = AccessPlan::default();
-        let fresh_set: HashSet<u32> = fresh.iter().map(|p| p.0).collect();
         for &sp in fresh {
             let page = DsmPage { service, page: sp };
             match &mut self.protocol {
@@ -162,44 +165,43 @@ impl Dsm {
             ProtocolChoice::TwoState => DetectionMode::PresenceOnly,
             ProtocolChoice::ThreeState => DetectionMode::ReadWriteDistinction,
         };
-        let write_set: HashSet<u32> = writes.iter().map(|p| p.0).collect();
         for &sp in reads {
-            if fresh_set.contains(&sp.0) {
+            if fresh.contains(&sp) {
                 continue; // seeded above: local by construction
             }
             let page = DsmPage { service, page: sp };
-            // Detection: shared pages are mapped 4 KB and go through the
-            // MMU models. Charge the translation cost if the page has ever
-            // been shared (private-so-far pages ride large-grain mappings).
-            if self.shared_pages.contains(&page) || self.page_faults(dom, page, false) {
-                plan.detection_cycles +=
-                    self.mmus[dom.index()].translate(Self::vpn(page), detection_mode);
-            }
-            let is_write = write_set.contains(&sp.0);
-            let faulted_from = match &mut self.protocol {
+            // The protocol access never touches the MMU models, so it may
+            // run before detection: one owner lookup decides both.
+            let (faulted_from, detect) = match &mut self.protocol {
                 ProtocolImpl::Two(p) => match p.access(dom, page) {
-                    Access::Hit => None,
-                    Access::Fault { from } => Some(from),
+                    Access::Hit => (None, false),
+                    Access::Fault { from } => (Some(from), true),
                 },
                 ProtocolImpl::Three(p) => {
-                    let a = if is_write {
+                    let a = if writes.contains(&sp) {
                         p.write(dom, page)
                     } else {
                         p.read(dom, page)
                     };
-                    match a {
+                    let from = match a {
                         MsiAccess::Hit => None,
                         MsiAccess::ReadMiss { from } => Some(from),
-                        MsiAccess::WriteInvalidate { invalidated } => {
-                            // Invalidations are one-way messages; data comes
-                            // from whoever held it. Approximate the supplier
-                            // as the other domain.
-                            let _ = invalidated;
-                            Some(Self::other(dom))
-                        }
-                    }
+                        // Invalidations are one-way messages; data comes
+                        // from whoever held it. Approximate the supplier
+                        // as the other domain.
+                        MsiAccess::WriteInvalidate { .. } => Some(Self::other(dom)),
+                    };
+                    // Conservative: MSI detection always translates.
+                    (from, true)
                 }
             };
+            // Detection: shared pages are mapped 4 KB and go through the
+            // MMU models. Charge the translation cost if the page has ever
+            // been shared (private-so-far pages ride large-grain mappings).
+            if detect || self.shared_pages.contains(&page) {
+                plan.detection_cycles +=
+                    self.mmus[dom.index()].translate(Self::vpn(page), detection_mode);
+            }
             if let Some(from) = faulted_from {
                 if from != dom {
                     plan.faults.push(FaultPlan { page, from });
@@ -256,15 +258,6 @@ impl Dsm {
     /// §6.3 thrashing metric.
     pub fn l1_tlb_miss_ratio(&self, dom: DomainId) -> Option<f64> {
         self.mmus[dom.index()].l1_tlb().map(|t| t.miss_ratio())
-    }
-
-    /// Would this access fault? (Read-only protocol probe for detection
-    /// accounting.)
-    fn page_faults(&self, dom: DomainId, page: DsmPage, _write: bool) -> bool {
-        match &self.protocol {
-            ProtocolImpl::Two(p) => p.owner_of(page) != dom,
-            ProtocolImpl::Three(_) => true, // conservative; only affects detection cost
-        }
     }
 
     fn note_shared(&mut self, page: DsmPage, plan: &mut AccessPlan) {

@@ -13,7 +13,7 @@
 
 use crate::dsm::protocol::DsmPage;
 use k2_soc::ids::DomainId;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Page state in the MSI protocol, per page (global view).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,7 +21,7 @@ pub enum MsiState {
     /// One kernel holds the only, possibly dirty, copy.
     Modified(DomainId),
     /// One or more kernels hold clean copies.
-    Shared(HashSet<DomainId>),
+    Shared(BTreeSet<DomainId>),
 }
 
 /// Outcome of one access under MSI.
@@ -73,7 +73,7 @@ pub struct MsiStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MsiProtocol {
-    state: HashMap<DsmPage, MsiState>,
+    state: BTreeMap<DsmPage, MsiState>,
     default_owner: DomainId,
     stats: MsiStats,
 }
@@ -82,7 +82,7 @@ impl MsiProtocol {
     /// Creates the protocol with all pages Modified by `default_owner`.
     pub fn new(default_owner: DomainId) -> Self {
         MsiProtocol {
-            state: HashMap::new(),
+            state: BTreeMap::new(),
             default_owner,
             stats: MsiStats::default(),
         }
@@ -107,7 +107,7 @@ impl MsiProtocol {
         match self.get(page) {
             MsiState::Modified(owner) if owner == dom => MsiAccess::Hit,
             MsiState::Modified(owner) => {
-                let mut set = HashSet::new();
+                let mut set = BTreeSet::new();
                 set.insert(owner);
                 set.insert(dom);
                 self.state.insert(page, MsiState::Shared(set));

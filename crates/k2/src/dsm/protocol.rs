@@ -13,7 +13,8 @@
 
 use k2_kernel::service::{ServiceId, StatePage};
 use k2_soc::ids::DomainId;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// Globally identifies one shared 4 KB page: a service's state page.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -112,7 +113,7 @@ pub struct ProtocolStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TwoStateProtocol {
-    owner: HashMap<DsmPage, DomainId>,
+    owner: BTreeMap<DsmPage, DomainId>,
     default_owner: DomainId,
     stats: ProtocolStats,
     seq: u16,
@@ -123,7 +124,7 @@ impl TwoStateProtocol {
     /// `default_owner` (the kernel that boots the services).
     pub fn new(default_owner: DomainId) -> Self {
         TwoStateProtocol {
-            owner: HashMap::new(),
+            owner: BTreeMap::new(),
             default_owner,
             stats: ProtocolStats::default(),
             seq: 0,
@@ -142,14 +143,27 @@ impl TwoStateProtocol {
     }
 
     /// Performs one access by `dom`; transfers ownership on a fault.
-    /// Reads and writes are indistinguishable in this protocol.
+    /// Reads and writes are indistinguishable in this protocol. One map
+    /// walk decides the outcome and, on a fault, records the new owner.
     pub fn access(&mut self, dom: DomainId, page: DsmPage) -> Access {
         self.stats.accesses += 1;
-        let cur = self.owner_of(page);
-        if cur == dom {
-            return Access::Hit;
-        }
-        self.owner.insert(page, dom);
+        let cur = match self.owner.entry(page) {
+            Entry::Occupied(mut e) => {
+                let cur = *e.get();
+                if cur == dom {
+                    return Access::Hit;
+                }
+                e.insert(dom);
+                cur
+            }
+            Entry::Vacant(e) => {
+                if self.default_owner == dom {
+                    return Access::Hit;
+                }
+                e.insert(dom);
+                self.default_owner
+            }
+        };
         self.stats.faults += 1;
         self.stats.get_exclusive += 1;
         self.stats.put_exclusive += 1;
@@ -183,7 +197,8 @@ impl TwoStateProtocol {
 
     /// Non-panicking form of [`TwoStateProtocol::check_one_writer_invariant`]:
     /// verifies the owner map has no sentinel values that would mean
-    /// "shared", reporting the first violation instead of aborting.
+    /// "shared", reporting the first violation (in page order, so the
+    /// same state always names the same page) instead of aborting.
     pub fn validate_one_writer(&self) -> Result<(), String> {
         for (&page, &owner) in &self.owner {
             if !(owner == DomainId::STRONG || owner.0 < 8) {

@@ -26,7 +26,7 @@ use k2_kernel::reliable::{LinkStats, ReliableLink, RetryVerdict, SendTicket};
 use k2_kernel::service::{OpCx, ServiceId};
 use k2_sim::digest::Fnv64;
 use k2_sim::json::{Json, JsonWriter};
-use k2_sim::metrics::{Key, Tag};
+use k2_sim::metrics::{CounterId, HistogramId, Key, Tag};
 use k2_sim::time::SimDuration;
 use k2_soc::core::Isa;
 use k2_soc::dma::{DmaStatus, DmaXferId};
@@ -38,7 +38,7 @@ use k2_soc::mmu::MmuKind;
 use k2_soc::platform::{Machine, MachineSnapshot, TaskId};
 use k2_soc::power::PowerState;
 use k2_soc::soc::SocBuilder;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The machine type every K2 task runs on.
 pub type K2Machine = Machine<K2System>;
@@ -145,16 +145,16 @@ pub struct K2System {
     /// Cross-ISA function dispatch table.
     pub dispatch: DispatchTable,
     /// In-flight DMA transfers: engine id -> (driver channel, waiter task).
-    dma_xfers: HashMap<u64, (Channel, Option<TaskId>)>,
+    dma_xfers: BTreeMap<u64, (Channel, Option<TaskId>)>,
     /// Reliable mailbox links keyed by (sender domain, receiver domain,
     /// channel). One entry carries both endpoints of that directed stream:
     /// the sender's unacked messages and the receiver's dedup window.
     /// Populated only under fault injection (§6 reliable messaging).
-    links: HashMap<(u8, u8, u8), ReliableLink>,
+    links: BTreeMap<(u8, u8, u8), ReliableLink>,
     /// Resubmission counts for DMA channels currently in recovery.
-    dma_retry: HashMap<u8, u32>,
+    dma_retry: BTreeMap<u8, u32>,
     /// NightWatch tasks parked by the gate, per pid.
-    nw_parked: HashMap<u32, Vec<TaskId>>,
+    nw_parked: BTreeMap<u32, Vec<TaskId>>,
     /// Sensor-batch inbox and its waiters.
     sensor_inbox: std::collections::VecDeque<Vec<k2_kernel::drivers::sensor::Sample>>,
     sensor_waiters: Vec<TaskId>,
@@ -167,6 +167,30 @@ pub struct K2System {
     sensor_watermark: usize,
     /// Counters.
     pub stats: SystemStats,
+    /// The operation context every [`shadowed`] call records into,
+    /// emptied when the call returns: steady-state calls reuse its
+    /// buffers, and a snapshot taken between calls copies no page lists.
+    op_cx: OpCx,
+    /// Interned ids of the metrics [`shadowed`] bumps.
+    op_ids: OpIds,
+}
+
+/// Lazily interned ids of the metrics every [`shadowed`] call bumps, so
+/// a call indexes the machine's registry instead of walking its key
+/// directory. Like the platform's own hot-id caches, a slot is filled at
+/// the key's first real bump — registration order, and so every digest
+/// and report, is the same as bumping by key. Indexed by domain (at
+/// most four); plain data, never folded into a digest.
+#[derive(Clone, Copy, Debug, Default)]
+struct OpIds {
+    /// `svc.shadowed[dom]`.
+    shadowed: [Option<CounterId>; 4],
+    /// `hwlock.abort[dom]`.
+    hwlock_abort: [Option<CounterId>; 4],
+    /// `dsm.fault[requester -> owner]`, indexed `requester * 4 + owner`.
+    fault: [Option<CounterId>; 16],
+    /// `dsm.fault_ns[requester]`.
+    fault_ns: [Option<HistogramId>; 4],
 }
 
 impl K2System {
@@ -245,10 +269,10 @@ impl K2System {
             nightwatch: NightWatch::new(),
             irq_coord: IrqCoordinator::new(),
             dispatch: DispatchTable::new(),
-            dma_xfers: HashMap::new(),
-            links: HashMap::new(),
-            dma_retry: HashMap::new(),
-            nw_parked: HashMap::new(),
+            dma_xfers: BTreeMap::new(),
+            links: BTreeMap::new(),
+            dma_retry: BTreeMap::new(),
+            nw_parked: BTreeMap::new(),
             sensor_inbox: std::collections::VecDeque::new(),
             sensor_waiters: Vec::new(),
             net_pending: std::collections::VecDeque::new(),
@@ -256,6 +280,8 @@ impl K2System {
             sensor_period: None,
             sensor_watermark: 0,
             stats: SystemStats::default(),
+            op_cx: OpCx::new(),
+            op_ids: OpIds::default(),
         };
         // Interrupt wiring: mailbox lines are domain-private and always
         // unmasked towards their own domain; shared lines start with the
@@ -424,28 +450,18 @@ impl K2System {
             .u64(ls.gave_up)
             .u64(ls.accepted)
             .u64(ls.duplicates_dropped);
-        // Pending work, folded by sorted key so HashMap order is moot.
-        let mut xfers: Vec<u64> = self.dma_xfers.keys().copied().collect();
-        xfers.sort_unstable();
-        h.usize(xfers.len());
-        for id in xfers {
+        // Pending work, in key order.
+        h.usize(self.dma_xfers.len());
+        for &id in self.dma_xfers.keys() {
             h.u64(id);
         }
-        let mut links: Vec<(u8, u8, u8)> = self.links.keys().copied().collect();
-        links.sort_unstable();
-        h.usize(links.len());
-        for (a, b, c) in links {
+        h.usize(self.links.len());
+        for &(a, b, c) in self.links.keys() {
             h.u32(a as u32).u32(b as u32).u32(c as u32);
         }
-        let mut parked: Vec<(u32, usize)> = self
-            .nw_parked
-            .iter()
-            .map(|(pid, v)| (*pid, v.len()))
-            .collect();
-        parked.sort_unstable();
-        h.usize(parked.len());
-        for (pid, n) in parked {
-            h.u32(pid).usize(n);
+        h.usize(self.nw_parked.len());
+        for (&pid, tasks) in &self.nw_parked {
+            h.u32(pid).usize(tasks.len());
         }
         h.usize(self.sensor_inbox.len())
             .usize(self.sensor_waiters.len())
@@ -695,14 +711,21 @@ fn install_net_hook(machine: &mut K2Machine, dom: DomainId) {
             // shadowed network-stack operation like any other.
             let (res, dur) = shadowed(w, m, cx.core, ServiceId::Net, |s, opcx| {
                 s.net
-                    .deliver_external_traced(d.port, d.src, d.payload.clone(), d.trace, opcx)
+                    .deliver_external_traced(d.port, d.src, d.payload, d.trace, opcx)
             });
             let rx_end = m.now() + dur;
             m.spans_mut().end(rx_end, rx);
             if res.is_ok() {
-                for t in std::mem::take(&mut w.net_waiters) {
+                // Wake every waiter, then hand the emptied list back so
+                // the next delivery's waiters reuse its buffer. A task
+                // that registers while the others wake keeps its place.
+                let mut waiters = std::mem::take(&mut w.net_waiters);
+                for &t in &waiters {
                     m.wake(t, w);
                 }
+                waiters.clear();
+                waiters.append(&mut w.net_waiters);
+                w.net_waiters = waiters;
             }
             dur_to_cycles(dur, m.core_desc(cx.core).freq_hz)
         }),
@@ -986,6 +1009,10 @@ pub fn dur_to_cycles(d: SimDuration, hz: u64) -> u64 {
 /// dispatch overhead on the weak domain, and DSM coherence for every state
 /// page the operation touched. Returns the operation's result and the
 /// duration the caller must charge.
+///
+/// The operation records into the world's reused [`OpCx`] and every
+/// metric is bumped through an interned id, so a call that hits locally
+/// neither allocates nor hashes nor walks a metric key.
 pub fn shadowed<R>(
     w: &mut K2System,
     m: &mut K2Machine,
@@ -993,18 +1020,37 @@ pub fn shadowed<R>(
     service: ServiceId,
     f: impl FnOnce(&mut SharedServices, &mut OpCx) -> R,
 ) -> (R, SimDuration) {
-    let mut cx = OpCx::new();
+    // Taken, not borrowed: hooks this call triggers may run a nested
+    // operation, which then records into a context of its own.
+    let mut cx = std::mem::take(&mut w.op_cx);
     let r = f(&mut w.world.services, &mut cx);
-    let trace = cx.into_trace();
-    let cost = trace.cost;
+    let dur = account_op(w, m, core, service, &cx);
+    cx.clear();
+    w.op_cx = cx;
+    (r, dur)
+}
+
+/// The coherence and locking cost of one recorded operation: the body
+/// of [`shadowed`] once the service code has run.
+fn account_op(
+    w: &mut K2System,
+    m: &mut K2Machine,
+    core: CoreId,
+    service: ServiceId,
+    cx: &OpCx,
+) -> SimDuration {
+    let cost = cx.cost();
     let desc = m.core_desc(core).clone();
     let dom = desc.domain;
     let mut dur = cost.time_on(&desc);
     w.stats.shadowed_ops += 1;
-    m.metrics_mut()
-        .incr(Key::new("svc.shadowed", Tag::Domain(dom.0)));
+    m.metrics_mut().add_cached(
+        &mut w.op_ids.shadowed[dom.index()],
+        Key::new("svc.shadowed", Tag::Domain(dom.0)),
+        1,
+    );
     if w.config.mode == SystemMode::LinuxBaseline {
-        return (r, dur);
+        return dur;
     }
     // §5.3 step 4: locks augmented with hardware spinlocks. A stuck bank
     // bit (fault injection, or a crashed remote holder) would spin forever,
@@ -1026,8 +1072,11 @@ pub fn shadowed<R>(
             lock.0
         );
         w.stats.hwlock_aborts += 1;
-        m.metrics_mut()
-            .incr(Key::new("hwlock.abort", Tag::Domain(dom.0)));
+        m.metrics_mut().add_cached(
+            &mut w.op_ids.hwlock_abort[dom.index()],
+            Key::new("hwlock.abort", Tag::Domain(dom.0)),
+            1,
+        );
         let backoff =
             (HWLOCK_BACKOFF_BASE.as_ns() << (attempts - 1).min(8)).min(HWLOCK_BACKOFF_MAX.as_ns());
         at += HWLOCK_DEADLINE + SimDuration::from_ns(backoff);
@@ -1039,9 +1088,9 @@ pub fn shadowed<R>(
         dur += DispatchTable::overhead_for(cost.instructions).time_on(&desc);
     }
     // §6.3: coherence for the touched state pages.
-    let plan =
-        w.dsm
-            .plan_accesses_with_fresh(dom, service, &trace.reads, &trace.writes, &trace.fresh);
+    let plan = w
+        .dsm
+        .plan_accesses_with_fresh(dom, service, cx.reads(), cx.writes(), cx.fresh());
     dur += desc.cycles_dur(plan.detection_cycles);
     dur += plan.split_cost.time_on(&desc);
     for fault in plan.faults {
@@ -1069,10 +1118,17 @@ pub fn shadowed<R>(
         let wake_extra = m.charge_remote(owner_core, b.servicing + bh_extra, w);
         let total = b.total() + wake_extra + deferral + bh_extra;
         w.dsm.record_fault(dom, total.as_us_f64());
-        m.metrics_mut()
-            .incr(Key::new("dsm.fault", Tag::DomainPair(dom.0, fault.from.0)));
-        m.metrics_mut()
-            .observe_duration(Key::new("dsm.fault_ns", Tag::Domain(dom.0)), total);
+        let metrics = m.metrics_mut();
+        metrics.add_cached(
+            &mut w.op_ids.fault[dom.index() * 4 + fault.from.index()],
+            Key::new("dsm.fault", Tag::DomainPair(dom.0, fault.from.0)),
+            1,
+        );
+        metrics.observe_duration_cached(
+            &mut w.op_ids.fault_ns[dom.index()],
+            Key::new("dsm.fault_ns", Tag::Domain(dom.0)),
+            total,
+        );
         dur += total;
         // §6.3's message pair made observable: under fault injection the
         // GetExclusive/PutExclusive notifications ride the reliable DSM
@@ -1087,7 +1143,7 @@ pub fn shadowed<R>(
             reliable_send(w, m, fault.from, dom, CHAN_DSM, put);
         }
     }
-    (r, dur)
+    dur
 }
 
 /// Deadline one hwspinlock poll burst spins before aborting: ten bus

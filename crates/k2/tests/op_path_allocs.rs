@@ -1,0 +1,77 @@
+//! Allocation guard for the shadowed-service op path.
+//!
+//! Every simulated syscall into a shadowed service runs through
+//! `k2::system::shadowed`. Its bookkeeping (the access trace, DSM
+//! planning, metric bumps) must not allocate once warm: the world's
+//! operation context is reused and emptied after each call, and metric
+//! ids are interned at first use. A counting global allocator pins that
+//! down for calls that hit locally.
+
+use k2::system::{shadowed, K2System, SystemConfig};
+use k2_kernel::service::ServiceId;
+use k2_soc::ids::DomainId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts allocations per thread, so the test harness's other threads
+/// cannot disturb a measurement.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+#[test]
+fn local_hits_allocate_nothing_once_warm() {
+    for dom in [DomainId::STRONG, DomainId::WEAK] {
+        let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
+        let core = K2System::kernel_core(&m, dom);
+        let (port, _) = shadowed(&mut sys, &mut m, core, ServiceId::Net, |s, cx| {
+            s.net.bind(None, cx).unwrap()
+        });
+        // Warm-up: the first calls size the reused buffers, intern the
+        // metric ids and (on the weak domain) pull the stack's shared
+        // pages over once.
+        let recv = |sys: &mut K2System, m: &mut k2::system::K2Machine| {
+            let (dg, dur) = shadowed(sys, m, core, ServiceId::Net, |s, cx| {
+                s.net.recv(port, cx).unwrap()
+            });
+            assert!(dg.is_none(), "nothing was sent to the socket");
+            dur
+        };
+        for _ in 0..8 {
+            recv(&mut sys, &mut m);
+        }
+        let faults = sys.dsm.total_faults();
+        let before = allocs();
+        for _ in 0..1_000 {
+            std::hint::black_box(recv(&mut sys, &mut m));
+        }
+        let spent = allocs() - before;
+        assert_eq!(sys.dsm.total_faults(), faults, "{dom}: every call hit");
+        assert_eq!(spent, 0, "{dom}: 1,000 local recvs allocated {spent} times");
+    }
+}
