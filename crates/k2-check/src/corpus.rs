@@ -15,10 +15,8 @@
 //! are byte-identical for any `K2CHECK_THREADS`.
 
 use crate::schedule::Schedule;
+use k2_sim::digest::Fnv64;
 use std::collections::{HashSet, VecDeque};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Default capacity of a campaign corpus.
 pub const DEFAULT_CAPACITY: usize = 256;
@@ -108,16 +106,11 @@ impl Corpus {
     /// compact equality witness the worker-count invariance test pins:
     /// equal digests mean equal corpora, byte for byte.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for s in &self.entries {
-            for b in s.token().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h ^= u64::from(b'\n');
-            h = h.wrapping_mul(FNV_PRIME);
+            h.bytes(s.token().as_bytes()).bytes(b"\n");
         }
-        h
+        h.finish()
     }
 }
 

@@ -117,21 +117,6 @@ pub fn run_recorded(
     (recorder.schedule(), outcome)
 }
 
-/// Like [`run_recorded`] but through [`Scenario::run_lite`]: the outcome
-/// carries no rendered report, which is all the exploration oracles need
-/// and roughly halves the cost of a run. Replay/byte-identity checks must
-/// use [`run_recorded`].
-pub fn run_recorded_lite(
-    scenario: Scenario,
-    spec: &FaultSpec,
-    policy: Box<dyn SchedulePolicy>,
-) -> (Schedule, RunOutcome) {
-    let recorder = Recorder::new();
-    let chooser = recorder.chooser(policy);
-    let outcome = scenario.run_lite(spec, Some(chooser));
-    (recorder.schedule(), outcome)
-}
-
 /// Re-runs `scenario` replaying `schedule` and reports which oracle (if
 /// any) the replay violates. The end-state comparison is made against a
 /// fresh baseline run under the *same* spec, so the check stays valid as

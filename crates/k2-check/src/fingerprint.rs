@@ -31,21 +31,10 @@
 //! identically, and the corpus/novelty accounting built on top inherits
 //! the explorer's thread-count invariance.
 
+use k2_sim::digest::Fnv64;
 use k2_sim::explore::EventClass;
 use k2_sim::span::SpanTracker;
 use std::collections::BTreeSet;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(init: u64, data: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Hashes the set of distinct scheduling sites a run visited — built
 /// from the class-projected trace recorded by
@@ -66,13 +55,11 @@ pub fn schedule_fingerprint(
         .zip(decisions)
         .map(|(&(class, arity), &d)| (class.code() as u8, arity, d))
         .collect();
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     for &(code, arity, d) in &sites {
-        h = fnv1a(h, &[code]);
-        h = fnv1a(h, &arity.to_le_bytes());
-        h = fnv1a(h, &d.to_le_bytes());
+        h.bytes(&[code]).u32(arity).u32(d);
     }
-    fnv1a(h, &span_shape.to_le_bytes())
+    h.u64(span_shape).finish()
 }
 
 /// Hashes the structural skeleton of every retained span — name, domain,
@@ -84,15 +71,15 @@ pub fn schedule_fingerprint(
 /// the parent's name for the same reason — span ids are allocation
 /// counters and would re-diverge under any reordering.
 pub fn span_shape_hash(spans: &SpanTracker) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv64::new();
     spans.for_each(|s| {
-        h = fnv1a(h, s.name.as_bytes());
-        h = fnv1a(h, &[s.domain]);
         let parent = s.parent.and_then(|p| spans.get(p)).map_or("", |p| p.name);
-        h = fnv1a(h, parent.as_bytes());
-        h = fnv1a(h, &[0]);
+        h.bytes(s.name.as_bytes())
+            .bytes(&[s.domain])
+            .bytes(parent.as_bytes())
+            .bytes(&[0]);
     });
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //!   (socket table, balloon steady state, allocator warm paths), and
 //!   freezes the result with [`K2System::snapshot`]. Every fleet member
 //!   is then [`K2System::fork`]ed from that one image — ~12 µs per
-//!   machine instead of boot + setup per machine (BENCH_pr9.json gates
-//!   the ratio at ≥ 5×).
+//!   machine instead of ~144 µs of boot + setup (EXPERIMENTS.md, fleet
+//!   tables; perfbench's `fork.us` and `snapshot.freeze_ms` track both
+//!   sides today).
 //! * **Shards are contiguous, workers own them.** Machines are `!Send`
 //!   (tasks hold `Rc` report handles), so each worker thread forks and
 //!   owns a contiguous chunk of machine indices for the whole run.
@@ -433,9 +434,10 @@ impl Task<K2System> for WarmupTask {
 }
 
 /// Boots one machine and runs the warm-up workload to quiescence: the
-/// per-machine "boot + setup" cost that forking replaces. `bench_pr9`
-/// measures this against [`K2System::fork`] and gates the ratio at ≥ 5×.
-pub fn cold_machine() -> (K2Machine, K2System) {
+/// per-machine "boot + setup" cost that forking replaces (EXPERIMENTS.md
+/// records it against [`K2System::fork`]; perfbench's
+/// `snapshot.freeze_ms` measures it with the freeze included).
+pub(crate) fn cold_machine() -> (K2Machine, K2System) {
     let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
     let core = K2System::kernel_core(&m, DomainId::STRONG);
     m.spawn(

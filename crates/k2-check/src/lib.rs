@@ -50,13 +50,13 @@ pub mod shrink;
 pub use corpus::Corpus;
 pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
 pub use explorer::{
-    check_failure, run_recorded, run_recorded_lite, Campaign, CampaignReport, ExplorationReport,
-    Explorer, Failure, FailureKind, Strategy,
+    check_failure, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer, Failure,
+    FailureKind, Strategy,
 };
 pub use fingerprint::{schedule_fingerprint, span_shape_hash};
 pub use fleet::{
-    cold_machine, run_fleet, run_fleet_from, run_fleet_traced, warmed_snapshot, FleetReport,
-    FleetSpec, FleetTimeline,
+    run_fleet, run_fleet_from, run_fleet_traced, warmed_snapshot, FleetReport, FleetSpec,
+    FleetTimeline,
 };
 pub use matrix::{MatrixOutcome, MatrixSpec};
 pub use mutate::{Mutation, Mutator, MAX_DECISION, MAX_LEN};

@@ -21,6 +21,7 @@ use crate::dsl::{builtin, CompiledScenario, ScenarioDef};
 use crate::explorer::{fan_out, resolve_workers};
 use crate::policy::{chooser_of, RandomWalk};
 use crate::scenario::{RunOptions, RunOutcome, Scenario};
+use k2_sim::digest::Fnv64;
 use k2_sim::explore::ScheduleChooser;
 use k2_sim::json::JsonWriter;
 use std::fmt::Write as _;
@@ -138,7 +139,8 @@ pub struct CellOutcome {
     pub coord: CellCoord,
     /// End-state fingerprint ([`crate::oracle::EndState::fingerprint`]).
     pub end_fp: u64,
-    /// FNV-1a of the rendered profile report; 0 on lite cells.
+    /// FNV-1a of the rendered profile report; on lite cells, which
+    /// render none, the hash of the empty string.
     pub report_fp: u64,
     /// Machine events processed.
     pub events: u64,
@@ -339,7 +341,7 @@ fn run_cell_at(
     CellOutcome {
         coord: coord.clone(),
         end_fp: out.end_state.fingerprint(),
-        report_fp: fnv1a(out.report_json.as_bytes()),
+        report_fp: Fnv64::new().bytes(out.report_json.as_bytes()).finish(),
         events: out.events,
         choice_points: out.choice_points,
         conservation: out.conservation,
@@ -521,25 +523,11 @@ impl MatrixOutcome {
 
 /// FNV-1a over the cells' canonical summary lines, in index order.
 fn digest(cells: &[CellOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv64::new();
     for c in cells {
-        for b in c.summary_line().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.bytes(c.summary_line().as_bytes()).bytes(b"\n");
     }
-    h
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -581,7 +569,7 @@ mod tests {
             assert_eq!(pair[1].coord.sink, SinkKind::Lite);
             assert_eq!(pair[0].end_fp, pair[1].end_fp, "{}", pair[0].coord.id());
             assert_ne!(pair[0].report_fp, 0);
-            assert_eq!(pair[1].report_fp, fnv1a(b""));
+            assert_eq!(pair[1].report_fp, Fnv64::new().finish());
         }
     }
 }

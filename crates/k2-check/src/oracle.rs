@@ -20,6 +20,7 @@ use k2::system::K2Machine;
 use k2_kernel::fs::block::Disk;
 use k2_kernel::fs::ext2::{Ext2Fs, FileType};
 use k2_kernel::service::OpCx;
+use k2_sim::digest::Fnv64;
 use k2_soc::ids::DomainId;
 use k2_workloads::harness::TestSystem;
 
@@ -47,14 +48,14 @@ impl EndState {
     /// states hash equal; entry order matters (capture order is
     /// deterministic).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for (k, v) in &self.entries {
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, &[0]);
-            h = fnv1a(h, v.as_bytes());
-            h = fnv1a(h, &[0]);
+            h.bytes(k.as_bytes())
+                .bytes(&[0])
+                .bytes(v.as_bytes())
+                .bytes(&[0]);
         }
-        h
+        h.finish()
     }
 
     /// Human-readable differences against another snapshot, capped so a
@@ -94,18 +95,6 @@ impl EndState {
     }
 }
 
-/// 64-bit FNV-1a, for content fingerprints in end-state snapshots.
-fn fnv1a(init: u64, data: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Recursively fingerprints the filesystem under `path`: every entry's
 /// type, every file's size and content hash. Names are sorted so the
 /// snapshot is independent of directory-entry insertion order (which
@@ -139,19 +128,19 @@ fn walk_fs(fs: &Ext2Fs<Disk>, path: &str, cx: &mut OpCx, out: &mut EndState) {
             }
             FileType::File => {
                 let size = fs.size(ino, cx);
-                let mut h = FNV_OFFSET;
+                let mut h = Fnv64::new();
                 let mut buf = [0u8; 4096];
                 let mut off = 0u64;
                 while let Ok(n) = fs.read(ino, off, &mut buf, cx) {
                     if n == 0 {
                         break;
                     }
-                    h = fnv1a(h, &buf[..n]);
+                    h.bytes(&buf[..n]);
                     off += n as u64;
                 }
                 out.push(
                     format!("fs:{child}"),
-                    format!("file size={size} fnv={h:016x}"),
+                    format!("file size={size} fnv={:016x}", h.finish()),
                 );
             }
         }
@@ -273,11 +262,12 @@ mod tests {
 
     #[test]
     fn fnv_is_order_sensitive_and_stable() {
-        let h1 = fnv1a(FNV_OFFSET, b"abc");
-        let h2 = fnv1a(FNV_OFFSET, b"acb");
+        let h1 = Fnv64::new().bytes(b"abc").finish();
+        let h2 = Fnv64::new().bytes(b"acb").finish();
         assert_ne!(h1, h2);
-        // Chunked hashing equals whole-buffer hashing.
-        let chunked = fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"c");
+        // Chunked hashing (how `walk_fs` folds a file block by block)
+        // equals whole-buffer hashing.
+        let chunked = Fnv64::new().bytes(b"ab").bytes(b"c").finish();
         assert_eq!(h1, chunked);
     }
 

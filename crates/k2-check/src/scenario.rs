@@ -15,6 +15,7 @@
 use crate::oracle::{self, EndState, DOMAINS};
 use k2::system::{K2Machine, K2System, SystemConfig, SystemSnapshot};
 use k2_sim::explore::ScheduleChooser;
+use k2_sim::json::JsonWriter;
 use k2_sim::sink::SinkMode;
 use k2_sim::time::SimDuration;
 use k2_soc::fault::FaultPlan;
@@ -119,8 +120,8 @@ impl FaultSpec {
 
 /// What one run records beyond the simulation itself: how heavy the
 /// observability machinery is, and which artifacts to produce at the end.
-/// [`Scenario::run`], [`Scenario::run_lite`] and [`Scenario::run_traced`]
-/// are the named presets.
+/// Pass it to [`Scenario::run_with`] or [`Scenario::run_forked`]; the
+/// constructors below are the named presets.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// Render `report_json` (the single most expensive step of a run).
@@ -136,6 +137,7 @@ pub struct RunOptions {
 
 impl RunOptions {
     /// The [`Scenario::run`] preset: full report, boot-default sink.
+    /// Replay and byte-identity checks need it.
     pub fn full() -> Self {
         RunOptions {
             render_report: true,
@@ -144,7 +146,10 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_lite`] preset: no report, disabled span sink.
+    /// No report and the disabled span sink. The oracles never read the
+    /// report or the spans, and both are pure observation — recording
+    /// never perturbs event timing — so exploration runs, which only
+    /// classify their outcomes, use this preset.
     pub fn lite() -> Self {
         RunOptions {
             render_report: false,
@@ -153,8 +158,8 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_traced`] preset: full observability plus the
-    /// Chrome trace export.
+    /// Full observability plus the Chrome trace export in
+    /// [`RunOutcome::chrome_trace`] — what the `k2-trace` binary runs.
     pub fn traced() -> Self {
         RunOptions {
             render_report: true,
@@ -163,11 +168,10 @@ impl RunOptions {
         }
     }
 
-    /// The [`Scenario::run_coverage`] preset: no report (campaign runs
-    /// never read it) but the boot-default full span sink, so the run's
-    /// span-graph shape — the second fingerprint component — is
-    /// captured. Sits between [`RunOptions::lite`] and
-    /// [`RunOptions::full`] in cost.
+    /// No report (campaign runs never read it) but the boot-default
+    /// full span sink, so the run's span-graph shape — the second
+    /// fingerprint component — is captured. Sits between
+    /// [`RunOptions::lite`] and [`RunOptions::full`] in cost.
     pub fn coverage() -> Self {
         RunOptions {
             render_report: false,
@@ -263,32 +267,6 @@ impl Scenario {
     /// the oracle inputs.
     pub fn run(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
         self.run_with(spec, chooser, RunOptions::full())
-    }
-
-    /// Like [`Scenario::run`] but with the observability machinery
-    /// stripped: no report rendering (`report_json` comes back empty) and
-    /// the disabled span sink. The oracles never read the report or the
-    /// spans, and both are pure observation — recording never perturbs
-    /// event timing — so exploration campaigns, which execute hundreds of
-    /// runs and only ever classify their outcomes, use this path. Replay
-    /// and byte-identity checks must use [`Scenario::run`].
-    pub fn run_lite(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::lite())
-    }
-
-    /// Like [`Scenario::run`] but also arms the event-trace ring and
-    /// returns the Chrome trace-event export in `chrome_trace` — the
-    /// `k2-trace` binary's entry point.
-    pub fn run_traced(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::traced())
-    }
-
-    /// Like [`Scenario::run_lite`] but keeps span recording on so the
-    /// outcome carries a meaningful `span_shape` — the run mode of
-    /// coverage-guided campaigns, where every run's fingerprint needs
-    /// the span-graph component.
-    pub fn run_coverage(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::coverage())
     }
 
     /// Boots a fresh system, runs this scenario under `spec`, the given
@@ -496,13 +474,13 @@ pub(crate) fn spawn_pulses_with(t: &mut TestSystem, cores: u32, rounds: u32) {
     }
 }
 
-/// Shared run skeleton: boot, install plan + chooser + auditor, drive,
-/// drain, then snapshot the oracle inputs. The profile report is rendered
-/// before any other read so nothing perturbs its bytes.
 /// Capacity of the event-trace ring a traced run records into — sized so
 /// a scenario's whole post-settle window survives for export.
 const TRACE_CAPACITY: usize = 1 << 16;
 
+/// Shared run skeleton: boot, install plan + chooser + auditor, drive,
+/// drain, then snapshot the oracle inputs. The profile report is rendered
+/// before any other read so nothing perturbs its bytes.
 pub(crate) fn run_system(
     snap: Option<&SystemSnapshot>,
     spec: &FaultSpec,
@@ -532,11 +510,12 @@ pub(crate) fn run_system(
     t.run_for(DRAIN);
     t.m.clear_schedule_chooser();
 
-    let report_json = if opts.render_report {
-        t.sys.profile_report(&t.m).render_compact()
-    } else {
-        String::new()
-    };
+    let mut report_json = String::new();
+    if opts.render_report {
+        let mut w = JsonWriter::compact(&mut report_json);
+        t.sys.write_profile_report(&t.m, &mut w);
+        w.finish();
+    }
     let chrome_trace = opts.chrome_trace.then(|| {
         let mut s = String::new();
         t.m.write_chrome_trace(&mut s);

@@ -145,7 +145,7 @@ fn seeded_mail_race_is_caught_shrunk_and_emitted() {
 }
 
 /// Replaying a recorded schedule token reproduces the run exactly — the
-/// full `profile_report()` JSON is byte-for-byte identical, not just the
+/// full profile-report JSON is byte-for-byte identical, not just the
 /// end state. This is the property that makes `k2s1-…` tokens sufficient
 /// repro artifacts on their own.
 #[test]

@@ -16,7 +16,8 @@ const SYNC_STORM_SIM_DIGEST: u64 = 0xa225316a0f0ba38b;
 
 /// With tracing disabled (the fleet default), enabled via ring buffers,
 /// or retaining everything, the sync-storm sim digest is one and the
-/// same pinned value: observation never perturbs simulated time.
+/// same pinned value, and every simulated quantity of the report matches:
+/// observation never perturbs simulated time.
 #[test]
 fn sync_storm_sim_digest_is_pinned_and_sink_invariant() {
     let snap = fleet::warmed_snapshot();
@@ -36,6 +37,17 @@ fn sync_storm_sim_digest_is_pinned_and_sink_invariant() {
         assert_eq!(
             traced.digest, SYNC_STORM_SIM_DIGEST,
             "{sink:?} perturbed the run"
+        );
+        // Only the trace digest may differ (contexts are empty when the
+        // sink is off).
+        assert_eq!(traced.events, disabled.events, "{sink:?} event drift");
+        assert_eq!(
+            traced.delivered, disabled.delivered,
+            "{sink:?} delivery drift"
+        );
+        assert_eq!(
+            traced.timeline, disabled.timeline,
+            "{sink:?} telemetry drift"
         );
     }
 }
@@ -67,7 +79,7 @@ fn sync_storm_scenario_meets_its_pinned_expectations() {
 
 /// The tentpole determinism contract at committed scale: the full
 /// 1,000-device storm produces byte-identical reports and digests at
-/// 1, 2, and 8 workers (the CI smoke re-asserts this in release).
+/// 1, 2, and 8 workers.
 #[test]
 fn sync_storm_report_is_byte_identical_at_1_2_8_workers() {
     let snap = fleet::warmed_snapshot();

@@ -8,6 +8,12 @@
 use k2_check::dsl::builtin;
 use k2_check::matrix::{MatrixSpec, CI_SEEDS};
 
+/// The committed CI matrix digest. It folds every cell's summary line,
+/// and a full cell's line carries the hash of its rendered profile
+/// report, so this constant pins the report bytes of every full cell
+/// along with the end states and expectation checks.
+const CI_MATRIX_DIGEST: u64 = 0xd4de2da9df2a868a;
+
 /// A small spec (two grid scenarios, both CI seeds) — big enough to
 /// exercise fan-out across several workers, small enough to run three
 /// times in a test.
@@ -92,4 +98,21 @@ fn ci_spec_covers_every_builtin_grid_scenario_and_both_seeds() {
     ids.sort();
     ids.dedup();
     assert_eq!(ids.len(), cells.len(), "duplicate cell coordinates");
+}
+
+#[test]
+fn ci_matrix_digest_is_pinned() {
+    let mut spec = MatrixSpec::ci();
+    spec.workers = 1;
+    let out = spec.run();
+    assert!(
+        out.passed(),
+        "CI matrix must pass:\n{}",
+        out.render_markdown()
+    );
+    assert_eq!(
+        out.digest, CI_MATRIX_DIGEST,
+        "pinned CI matrix digest drifted: got {:016x}",
+        out.digest
+    );
 }

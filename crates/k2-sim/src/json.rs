@@ -1,39 +1,52 @@
-//! A minimal deterministic JSON writer.
+//! Minimal deterministic JSON: a streaming writer and a parse type.
 //!
 //! The workspace is dependency-free by design, so report serialization
-//! cannot lean on serde. This module provides just enough JSON to emit
-//! profile reports (`BENCH_*.json`) with two hard guarantees:
+//! cannot lean on serde. [`JsonWriter`] streams profile reports, trace
+//! exports and result lines with two hard guarantees:
 //!
-//! - **Byte determinism.** Object members render in insertion order (and
-//!   builders insert from `BTreeMap`s), floats render with a fixed
+//! - **Byte determinism.** Object members render in write order (and
+//!   producers write from `BTreeMap`s), floats render with a fixed
 //!   notation, and nothing consults locale or wall clock — the same
-//!   report value always serializes to the same bytes, which is what
-//!   lets golden tests compare whole files.
+//!   report always serializes to the same bytes, which is what lets
+//!   golden tests compare whole files.
 //! - **Valid output.** Strings are escaped per RFC 8259; non-finite
 //!   floats (which JSON cannot represent) render as `null`.
+//!
+//! [`Json`] is the reading half: tests parse what the writer emitted and
+//! render it back to check the bytes round-trip.
 //!
 //! # Examples
 //!
 //! ```
-//! use k2_sim::json::Json;
+//! use k2_sim::json::{Json, JsonWriter};
 //!
-//! let j = Json::object([
-//!     ("name", Json::str("udp-loopback")),
-//!     ("bytes", Json::u64(32768)),
-//!     ("energy_mj", Json::f64(1.5)),
-//! ]);
+//! let mut out = String::new();
+//! let mut w = JsonWriter::compact(&mut out);
+//! w.begin_object();
+//! w.key("name");
+//! w.str("udp-loopback");
+//! w.key("bytes");
+//! w.u64(32768);
+//! w.key("energy_mj");
+//! w.f64(1.5);
+//! w.end_object();
+//! w.finish();
 //! assert_eq!(
-//!     j.render_compact(),
+//!     out,
 //!     r#"{"name":"udp-loopback","bytes":32768,"energy_mj":1.500000}"#
 //! );
+//! let parsed = Json::parse(&out).unwrap();
+//! assert_eq!(parsed.get("bytes").and_then(Json::as_f64), Some(32768.0));
+//! assert_eq!(parsed.render_compact(), out);
 //! ```
 
 use std::fmt::{self, Write};
 
-/// A JSON value tree.
+/// A JSON value tree: what [`Json::parse`] returns, and what tests
+/// render back to compare against the writer's bytes.
 ///
 /// Objects keep their members as an ordered list (insertion order is
-/// render order); builders are expected to insert deterministically.
+/// render order).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -154,13 +167,12 @@ impl Json {
 /// An incremental JSON writer producing byte-identical output to
 /// [`Json::render_compact`] / [`Json::render_pretty`].
 ///
-/// Where the [`Json`] tree forces a producer to materialize an entire
-/// report before a single byte renders, the writer emits as it goes:
-/// open a container, stream members, close it — each section of a
-/// profile report (or each of thousands of trace events) hits the output
-/// buffer the moment it is computed, and nothing larger than the current
-/// value is ever held. The format contract is checked by tests that
-/// render the same document both ways and compare bytes.
+/// The writer emits as it goes: open a container, stream members, close
+/// it — each section of a profile report (or each of thousands of trace
+/// events) hits the output buffer the moment it is computed, and nothing
+/// larger than the current value is ever held. The format contract is
+/// checked by tests that render the same document both ways and compare
+/// bytes.
 ///
 /// Values written while an object key is pending attach to that key;
 /// values written directly inside an array (or at the top level) stand
@@ -374,8 +386,8 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Writes a float in the tree renderer's fixed six-decimal notation
-    /// (`null` when non-finite).
+    /// Writes a float in fixed six-decimal notation (`null` when
+    /// non-finite).
     pub fn f64(&mut self, v: f64) {
         self.separate();
         if v.is_finite() {
@@ -389,14 +401,6 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     pub fn str(&mut self, s: &str) {
         self.separate();
         write_escaped(self.out, s);
-    }
-
-    /// Renders a pre-built [`Json`] tree at the current position — the
-    /// bridge for small sections that are cheaper to assemble than to
-    /// hand-stream.
-    pub fn tree(&mut self, value: &Json) {
-        self.separate();
-        value.write(self.out, self.indent, self.stack.len());
     }
 
     /// Finishes the document: in pretty mode appends the trailing
@@ -519,8 +523,7 @@ impl Json {
     /// optional whitespace).
     ///
     /// This is the reading half of the workspace's dependency-free JSON:
-    /// round-trip tests feed exported trace files back through it, and
-    /// bench `--check` gates read committed `BENCH_*.json` baselines.
+    /// round-trip tests feed exported trace files back through it.
     /// Numbers without `.`/`e` parse as integers (`U64`, or `I64` when
     /// negative), everything else as `F64` — matching what the writer
     /// emits, so `parse(render(x))` reproduces `x` for writer output.
@@ -859,8 +862,7 @@ mod tests {
         ])
     }
 
-    /// Streams the specimen through the writer, mixing hand-streamed
-    /// members with `tree()` bridges.
+    /// Streams the specimen through the writer.
     fn stream_specimen<W: Write + ?Sized>(w: &mut JsonWriter<'_, W>) {
         w.begin_object();
         w.key("s");
@@ -883,7 +885,10 @@ mod tests {
         w.key("arr");
         w.begin_array();
         w.u64(1);
-        w.tree(&Json::object([("k", Json::str("v"))]));
+        w.begin_object();
+        w.key("k");
+        w.str("v");
+        w.end_object();
         w.end_array();
         w.key("empty_o");
         w.begin_object();
@@ -910,17 +915,18 @@ mod tests {
     }
 
     #[test]
-    fn writer_top_level_array_of_trees() {
-        let items = [Json::u64(1), Json::str("x")];
+    fn writer_top_level_array_matches_tree_render() {
         let mut out = String::new();
         let mut w = JsonWriter::pretty(&mut out);
         w.begin_array();
-        for it in &items {
-            w.tree(it);
-        }
+        w.u64(1);
+        w.str("x");
         w.end_array();
         w.finish();
-        assert_eq!(out, Json::array(items.clone()).render_pretty());
+        assert_eq!(
+            out,
+            Json::array([Json::u64(1), Json::str("x")]).render_pretty()
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use k2_sim::audit::InvariantAuditor;
 use k2_sim::digest::Fnv64;
 use k2_sim::explore::{ChoicePoint, EventClass, ScheduleChooser};
 use k2_sim::export::ChromeTraceWriter;
-use k2_sim::json::{Json, JsonWriter};
+use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, DurationId, GaugeId, HistogramId, Key, Registry, Tag};
 use k2_sim::queue::EventQueue;
 use k2_sim::sink::SinkMode;
@@ -1034,165 +1034,18 @@ impl<W> Machine<W> {
         (active, attributed)
     }
 
-    /// Renders the machine-level profile report: per-domain energy and
-    /// power state, per-core state times with the active-time attribution
-    /// breakdown, every registry metric, and the span summary.
+    /// Streams the members of the machine-level profile report through
+    /// `w`: per-domain energy and power state, per-core state times with
+    /// the active-time attribution breakdown, every registry metric, and
+    /// the span summary. Each section hits the output buffer as it is
+    /// computed, so peak allocation is one entry, not one report. The
+    /// caller owns the surrounding `begin_object`/`end_object` (the OS
+    /// layer appends its own `system` section after these).
     ///
     /// The report is a pure function of simulation state — no wall clock,
     /// ordered maps throughout, fixed float notation — so the same seeded
-    /// run always serializes to the same bytes (what golden tests and
-    /// `BENCH_*.json` consumers rely on).
-    pub fn profile_report(&self) -> Json {
-        let now = self.now;
-        let domains = Json::array((0..self.domain_count()).map(|d| {
-            let dom = DomainId(d as u8);
-            Json::object([
-                ("domain", Json::u64(d as u64)),
-                ("energy_mj", Json::f64(self.domain_energy_mj(dom))),
-                (
-                    "power_state",
-                    Json::str(state_name(self.domain_power_state(dom))),
-                ),
-                (
-                    "cores",
-                    Json::array(
-                        self.domain_cores(dom)
-                            .iter()
-                            .map(|c| Json::u64(c.index() as u64)),
-                    ),
-                ),
-            ])
-        }));
-        let cores = Json::array(self.cores.iter().map(|rt| {
-            let active = rt.meter.time_in_at(PowerState::Active, now);
-            let mut attributed = SimDuration::ZERO;
-            let mut breakdown: Vec<(String, Json)> = Vec::new();
-            for (sub, d) in self.metrics.core_breakdown("active", rt.desc.id.0) {
-                attributed += d;
-                breakdown.push((sub.to_string(), Json::u64(d.as_ns())));
-            }
-            Json::object([
-                ("core", Json::u64(rt.desc.id.0 as u64)),
-                ("domain", Json::u64(rt.desc.domain.0 as u64)),
-                ("freq_hz", Json::u64(rt.desc.freq_hz)),
-                ("energy_mj", Json::f64(rt.meter.energy_mj_at(now))),
-                ("wakeups", Json::u64(rt.meter.wakeups())),
-                (
-                    "state_ns",
-                    Json::object([
-                        ("active", Json::u64(active.as_ns())),
-                        (
-                            "idle",
-                            Json::u64(rt.meter.time_in_at(PowerState::Idle, now).as_ns()),
-                        ),
-                        (
-                            "inactive",
-                            Json::u64(rt.meter.time_in_at(PowerState::Inactive, now).as_ns()),
-                        ),
-                    ]),
-                ),
-                ("active_breakdown_ns", Json::Object(breakdown)),
-                (
-                    "unaccounted_active_ns",
-                    Json::u64(active.saturating_sub(attributed).as_ns()),
-                ),
-            ])
-        }));
-        let counters = Json::Object(
-            self.metrics
-                .counters()
-                .map(|(k, v)| (k.to_string(), Json::u64(v)))
-                .collect(),
-        );
-        let durations = Json::Object(
-            self.metrics
-                .durations()
-                .map(|(k, d)| (k.to_string(), Json::u64(d.as_ns())))
-                .collect(),
-        );
-        let gauges = Json::Object(
-            self.metrics
-                .gauges()
-                .map(|(k, g)| {
-                    (
-                        k.to_string(),
-                        Json::object([
-                            ("value", Json::f64(g.value())),
-                            ("min", Json::f64(g.min())),
-                            ("max", Json::f64(g.max())),
-                            ("time_avg", Json::f64(g.time_average(now))),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let histograms = Json::Object(
-            self.metrics
-                .histograms()
-                .map(|(k, h)| {
-                    (
-                        k.to_string(),
-                        Json::object([
-                            ("count", Json::u64(h.count())),
-                            ("mean", Json::f64(h.mean())),
-                            ("p50", Json::u64(h.percentile(0.5))),
-                            ("p99", Json::u64(h.percentile(0.99))),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let spans = Json::object([
-            ("allocated", Json::u64(self.spans.allocated())),
-            ("retained", Json::u64(self.spans.retained() as u64)),
-            ("dropped", Json::u64(self.spans.dropped())),
-            (
-                "by_name",
-                Json::Object(
-                    self.spans
-                        .summary()
-                        .into_iter()
-                        .map(|(name, (count, total_ns))| {
-                            (
-                                name.to_string(),
-                                Json::object([
-                                    ("count", Json::u64(count)),
-                                    ("total_ns", Json::u64(total_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        Json::object([
-            ("sim_time_ns", Json::u64(now.as_ns())),
-            ("total_energy_mj", Json::f64(self.total_energy_mj())),
-            ("domains", domains),
-            ("cores", cores),
-            (
-                "metrics",
-                Json::object([
-                    ("counters", counters),
-                    ("durations_ns", durations),
-                    ("gauges", gauges),
-                    ("histograms", histograms),
-                ]),
-            ),
-            ("spans", spans),
-        ])
-    }
-
-    /// Streams the members of the profile report through `w`, producing
-    /// the same bytes [`Machine::profile_report`] would render — without
-    /// ever materializing the report tree. Each section (domains, cores,
-    /// every metric family, the span summary) hits the output buffer as
-    /// it is computed, so peak allocation is one entry, not one report.
-    /// The caller owns the surrounding `begin_object`/`end_object` (the
-    /// OS layer appends its own `system` section after these).
-    ///
-    /// The byte contract between the two paths is pinned by tests and by
-    /// the golden suite, which renders through this path.
+    /// run always serializes to the same bytes; the golden suite and the
+    /// conformance-matrix digest pin them.
     pub fn write_profile_fields<O: std::fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, O>) {
         use std::fmt::Write as _;
         let now = self.now;
@@ -1337,14 +1190,6 @@ impl<W> Machine<W> {
             w.end_object();
         }
         w.end_object();
-        w.end_object();
-    }
-
-    /// Streams the whole machine-level report (object included) — the
-    /// incremental twin of `profile_report().render_*()`.
-    pub fn write_profile_report<O: std::fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, O>) {
-        w.begin_object();
-        self.write_profile_fields(w);
         w.end_object();
     }
 

@@ -25,7 +25,7 @@ use k2_kernel::proc::{Pid, ThreadState, Tid};
 use k2_kernel::reliable::{LinkStats, ReliableLink, RetryVerdict, SendTicket};
 use k2_kernel::service::{OpCx, ServiceId};
 use k2_sim::digest::Fnv64;
-use k2_sim::json::{Json, JsonWriter};
+use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, HistogramId, Key, Tag};
 use k2_sim::time::SimDuration;
 use k2_soc::core::Isa;
@@ -329,23 +329,14 @@ impl K2System {
         (machine, sys)
     }
 
-    /// The machine-wide profile report (see [`Machine::profile_report`])
-    /// extended with a `system` section: the OS-level view — shadowed-op
-    /// and lock counters, DSM and NightWatch protocol statistics, balloon
-    /// traffic, reliable-link totals. Deterministic: two runs of the same
-    /// seeded scenario render byte-identical JSON.
-    pub fn profile_report(&self, m: &K2Machine) -> Json {
-        let mut j = m.profile_report();
-        j.push("system", self.system_section());
-        j
-    }
-
-    /// Streams the full profile report through `w` — identical bytes to
-    /// `profile_report(m).render_*()` (the machine fields stream entry
-    /// by entry via [`Machine::write_profile_fields`]; the `system`
-    /// section is small and rendered as a tree). Golden reports and the
-    /// export binary use this path so report size never dictates peak
-    /// memory.
+    /// Streams the machine-wide profile report (see
+    /// [`Machine::write_profile_fields`]) extended with a `system`
+    /// section: the OS-level view — shadowed-op and lock counters, DSM
+    /// and NightWatch protocol statistics, balloon traffic, reliable-link
+    /// totals. Deterministic: two runs of the same seeded scenario render
+    /// byte-identical JSON. Golden reports, scenario runs and the export
+    /// binary all render through this one path, entry by entry, so report
+    /// size never dictates peak memory.
     pub fn write_profile_report<W: std::fmt::Write + ?Sized>(
         &self,
         m: &K2Machine,
@@ -354,63 +345,78 @@ impl K2System {
         w.begin_object();
         m.write_profile_fields(w);
         w.key("system");
-        w.tree(&self.system_section());
+        self.write_system_section(w);
         w.end_object();
     }
 
-    /// The OS-level `system` section of the profile report.
-    fn system_section(&self) -> Json {
+    /// Streams the OS-level `system` section of the profile report.
+    fn write_system_section<W: std::fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) {
         let ls = self.link_stats();
         let (deflates, inflates) = self.balloon.op_counts();
         let (suspends, resumes) = self.nightwatch.counts();
-        Json::object([
-            ("mode", Json::str(format!("{:?}", self.config.mode))),
-            ("shadowed_ops", Json::u64(self.stats.shadowed_ops)),
-            ("hwlock_ops", Json::u64(self.stats.hwlock_ops)),
-            ("hwlock_aborts", Json::u64(self.stats.hwlock_aborts)),
-            ("redirected_frees", Json::u64(self.stats.redirected_frees)),
+        let dsm = self.dsm.stats();
+        w.begin_object();
+        w.key("mode");
+        w.str(&format!("{:?}", self.config.mode));
+        for (k, v) in [
+            ("shadowed_ops", self.stats.shadowed_ops),
+            ("hwlock_ops", self.stats.hwlock_ops),
+            ("hwlock_aborts", self.stats.hwlock_aborts),
+            ("redirected_frees", self.stats.redirected_frees),
+        ] {
+            w.key(k);
+            w.u64(v);
+        }
+        let sections: [(&str, &[(&str, u64)]); 5] = [
             (
                 "dsm",
-                Json::object([
-                    ("faults", Json::u64(self.dsm.total_faults())),
-                    ("messages", Json::u64(self.dsm.stats().messages)),
-                    ("sections_split", Json::u64(self.dsm.stats().sections_split)),
-                ]),
+                &[
+                    ("faults", self.dsm.total_faults()),
+                    ("messages", dsm.messages),
+                    ("sections_split", dsm.sections_split),
+                ],
             ),
             (
                 "nightwatch",
-                Json::object([
-                    ("suspends", Json::u64(suspends)),
-                    ("resumes", Json::u64(resumes)),
-                ]),
+                &[("suspends", suspends), ("resumes", resumes)],
             ),
             (
                 "balloon",
-                Json::object([
-                    ("deflates", Json::u64(deflates)),
-                    ("inflates", Json::u64(inflates)),
-                    ("free_blocks", Json::u64(self.balloon.free_blocks())),
-                ]),
+                &[
+                    ("deflates", deflates),
+                    ("inflates", inflates),
+                    ("free_blocks", self.balloon.free_blocks()),
+                ],
             ),
             (
                 "links",
-                Json::object([
-                    ("sent", Json::u64(ls.sent)),
-                    ("retransmits", Json::u64(ls.retransmits)),
-                    ("acked", Json::u64(ls.acked)),
-                    ("gave_up", Json::u64(ls.gave_up)),
-                    ("accepted", Json::u64(ls.accepted)),
-                    ("duplicates_dropped", Json::u64(ls.duplicates_dropped)),
-                ]),
+                &[
+                    ("sent", ls.sent),
+                    ("retransmits", ls.retransmits),
+                    ("acked", ls.acked),
+                    ("gave_up", ls.gave_up),
+                    ("accepted", ls.accepted),
+                    ("duplicates_dropped", ls.duplicates_dropped),
+                ],
             ),
             (
                 "dma_driver",
-                Json::object([
-                    ("retries", Json::u64(self.stats.dma_retries)),
-                    ("gave_up", Json::u64(self.stats.dma_gave_up)),
-                ]),
+                &[
+                    ("retries", self.stats.dma_retries),
+                    ("gave_up", self.stats.dma_gave_up),
+                ],
             ),
-        ])
+        ];
+        for (name, members) in sections {
+            w.key(name);
+            w.begin_object();
+            for &(k, v) in members {
+                w.key(k);
+                w.u64(v);
+            }
+            w.end_object();
+        }
+        w.end_object();
     }
 
     /// Folds the world's observable state into a snapshot digest:
@@ -1770,10 +1776,14 @@ mod tests {
         m.run_until(m.now() + SimDuration::from_secs(6), &mut sys);
         fm.run_until(fm.now() + SimDuration::from_secs(6), &mut fsys);
         assert_eq!(m.state_digest(), fm.state_digest());
-        assert_eq!(
-            sys.profile_report(&m).render_compact(),
-            fsys.profile_report(&fm).render_compact()
-        );
+        let report = |sys: &K2System, m: &K2Machine| {
+            let mut out = String::new();
+            let mut w = JsonWriter::compact(&mut out);
+            sys.write_profile_report(m, &mut w);
+            w.finish();
+            out
+        };
+        assert_eq!(report(&sys, &m), report(&fsys, &fm));
     }
 
     #[test]
