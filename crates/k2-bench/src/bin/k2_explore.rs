@@ -17,6 +17,7 @@
 //! Deterministic: the same arguments yield byte-identical output for any
 //! `K2CHECK_THREADS`.
 
+use k2_bench::{create_output, exit_with};
 use k2_check::{Campaign, CampaignReport, Scenario, Strategy};
 use k2_sim::json::{IoAdapter, JsonWriter};
 use std::fmt::Write as _;
@@ -87,7 +88,7 @@ fn main() {
     }
 
     let mut sink = out.map(|path| {
-        let file = std::fs::File::create(&path).expect("create report file");
+        let file = create_output(&path);
         (path, IoAdapter::new(file))
     });
 
@@ -130,8 +131,9 @@ fn main() {
         }
     }
     if let Some((path, adapter)) = sink {
-        let file = adapter.finish().expect("flush report file");
-        drop(file);
+        adapter
+            .finish()
+            .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
         eprintln!("wrote campaign reports to {path}");
     }
 }

@@ -24,6 +24,7 @@
 //! Defaults: 16 devices, 2 hubs, `full` sink, seed 2014, 80 epochs,
 //! prefix `fleet`. Sink modes: `disabled`, `ring`, `ring:<cap>`, `full`.
 
+use k2_bench::{create_output, exit_with, write_output};
 use k2_check::fleet::{run_fleet_traced, warmed_snapshot, FleetSpec};
 use k2_sim::sink::SinkMode;
 use k2_sim::time::SimDuration;
@@ -70,6 +71,11 @@ fn main() {
     if workers > 0 {
         spec.workers = workers;
     }
+    if let Err(e) = spec.validate() {
+        exit_with(2, format!("invalid fleet: {e}"));
+    }
+    let paths = ["trace.json", "timeline.json", "report.txt"].map(|ext| format!("{prefix}.{ext}"));
+    let files = paths.each_ref().map(|p| create_output(p));
     eprintln!(
         "running sync storm: {} machines, {epochs} epochs, sink {} (seed {seed})...",
         spec.machines(),
@@ -78,17 +84,19 @@ fn main() {
     let snap = warmed_snapshot();
     let (report, trace) = run_fleet_traced(&spec, &snap);
 
-    let trace_path = format!("{prefix}.trace.json");
-    let timeline_path = format!("{prefix}.timeline.json");
-    let report_path = format!("{prefix}.report.txt");
-    std::fs::write(&trace_path, &trace).expect("write trace");
-    std::fs::write(&timeline_path, report.timeline.render_json()).expect("write timeline");
-    std::fs::write(&report_path, report.render()).expect("write report");
+    let rendered = report.render();
+    let texts = [&trace, &report.timeline.render_json(), &rendered];
+    for ((file, path), text) in files.into_iter().zip(&paths).zip(texts) {
+        write_output(file, path, text);
+    }
 
-    eprint!("{}", report.render());
+    eprint!("{rendered}");
     eprintln!(
-        "wrote {trace_path} ({} bytes), {timeline_path}, {report_path}",
-        trace.len()
+        "wrote {} ({} bytes), {}, {}",
+        paths[0],
+        trace.len(),
+        paths[1],
+        paths[2]
     );
     if sink == SinkMode::Disabled {
         eprintln!("note: sink disabled — the trace document carries no events");

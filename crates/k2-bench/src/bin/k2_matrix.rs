@@ -13,7 +13,7 @@
 //! k2-matrix --expect <scenario>                          # print blessed expect blocks
 //! ```
 
-use k2_bench::conformance;
+use k2_bench::{conformance, exit_with};
 use k2_check::dsl::builtin;
 use k2_check::matrix::{MatrixSpec, CI_SEEDS};
 use k2_check::{FaultSpec, RunOptions};
@@ -73,7 +73,8 @@ fn main() {
     let out = spec.run();
     print!("{}", out.render_markdown());
     if let Some(path) = out_path {
-        std::fs::write(&path, out.render_jsonl()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(&path, out.render_jsonl())
+            .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
         println!("\nwrote {path}");
     }
     std::process::exit(i32::from(!out.passed()));
@@ -85,6 +86,9 @@ fn main() {
 /// block when every CI seed agrees, per-seed blocks otherwise); eval
 /// scenarios report the full conformance metric map.
 fn bless(name: &str) {
+    if builtin::source(name).is_none() {
+        exit_with(2, format!("--expect: no builtin scenario `{name}`"));
+    }
     let def = builtin::load(name);
     if def.is_eval() {
         let out = conformance::eval_builtin(name);
@@ -97,7 +101,9 @@ fn bless(name: &str) {
         println!("```");
         return;
     }
-    let compiled = def.compile().expect("grid scenario compiles");
+    let compiled = def
+        .compile()
+        .unwrap_or_else(|e| exit_with(2, format!("--expect {name}: {e}")));
     let metrics: Vec<String> = {
         let mut m: Vec<String> = def.grid.iter().map(|r| r.metric.clone()).collect();
         m.extend(def.steps.iter().filter_map(|s| match s {

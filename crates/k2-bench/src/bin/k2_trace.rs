@@ -14,6 +14,7 @@
 //! Defaults: `udp-cross-traffic`, seed 0, `<scenario>.trace.json`.
 //! Fleet traces come from `k2-fleet-trace`.
 
+use k2_bench::{create_output, write_output};
 use k2_check::{FaultSpec, RunOptions, Scenario};
 
 fn usage() -> ! {
@@ -57,15 +58,18 @@ fn main() {
         }
     }
     let path = out.unwrap_or_else(|| format!("{}.trace.json", scenario.name()));
+    let file = create_output(&path);
 
     let spec = FaultSpec {
         seed,
         ..FaultSpec::none()
     };
     eprintln!("running {} (seed {seed})...", scenario.name());
-    let outcome = scenario.run_with(&spec, None, RunOptions::traced());
+    let outcome = scenario
+        .compile()
+        .run_with(&spec, None, RunOptions::traced());
     let trace = outcome.chrome_trace.expect("traced run exports a trace");
-    std::fs::write(&path, &trace).expect("write trace file");
+    write_output(file, &path, &trace);
     eprintln!(
         "wrote {path} ({} bytes, {} machine events) — load it in ui.perfetto.dev",
         trace.len(),

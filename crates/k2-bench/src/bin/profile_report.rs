@@ -2,18 +2,20 @@
 //!
 //! Usage: `profile_report [--seed N] > BENCH_pr2.json` (default seed 2014,
 //! matching the golden-trace suite).
+use k2_bench::exit_with;
+
 fn main() {
     let mut seed = 2014u64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an integer");
+                let v = args.next().unwrap_or_default();
+                seed = v.parse().unwrap_or_else(|_| {
+                    exit_with(2, format!("--seed takes an integer, got `{v}`"))
+                });
             }
-            other => panic!("unknown argument {other:?}"),
+            other => exit_with(2, format!("unknown argument `{other}`")),
         }
     }
     print!("{}", k2_bench::profile_report_bundle(seed));

@@ -14,6 +14,30 @@ use k2::system::SystemMode;
 use k2_workloads::harness::{self, compare_energy, Workload};
 use std::fmt::Write as _;
 
+/// Ends a CLI binary on bad input without a panic: prints `msg` as one
+/// line on stderr and exits with `code` — 2 for a malformed argument,
+/// 1 for a file that cannot be written.
+pub fn exit_with(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code)
+}
+
+/// Creates a CLI output file, or ends the binary with status 1 naming
+/// the path. The bins create their outputs before simulating anything,
+/// so a bad path fails fast.
+pub fn create_output(path: &str) -> std::fs::File {
+    std::fs::File::create(path)
+        .unwrap_or_else(|e| exit_with(1, format!("cannot create {path}: {e}")))
+}
+
+/// Writes `text` into an output file from [`create_output`], or ends
+/// the binary with status 1 naming the path.
+pub fn write_output(mut file: std::fs::File, path: &str, text: &str) {
+    use std::io::Write as _;
+    file.write_all(text.as_bytes())
+        .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
+}
+
 /// Figure 1: the architecture trend points and power ranges.
 ///
 /// Parameterized by `scenarios/fig1-trend.k2.md` via the conformance

@@ -3,11 +3,13 @@
 //! A `scenarios/*.k2.md` file is an ordinary markdown document whose
 //! fenced code blocks tagged `k2` carry a machine-readable scenario
 //! description. Everything outside those fences is prose documentation;
-//! everything inside compiles onto the existing [`Scenario`]-style run
-//! machinery ([`FaultSpec`], [`RunOptions`], the `TestSystem` harness),
-//! so one file is simultaneously the specification of a workload, the
-//! test that pins its behaviour (via `expect` tables), and the document
-//! a reader studies.
+//! everything inside compiles onto the single-machine run machinery
+//! ([`FaultSpec`], [`RunOptions`], the `TestSystem` harness), so one file
+//! is simultaneously the specification of a workload, the test that pins
+//! its behaviour (via `expect` tables), and the document a reader
+//! studies. The four grid files campaigns explore are named by
+//! [`Scenario`](crate::scenario::Scenario); this is their only
+//! definition.
 //!
 //! # Grammar
 //!
@@ -492,12 +494,11 @@ impl ScenarioDef {
     }
 }
 
-/// A validated, runnable scenario compiled from a [`ScenarioDef`]. Runs
-/// through exactly the same skeleton as the hand-written [`Scenario`]
-/// variants — same boot, same pulse tasks, same drain and oracle capture
-/// — so a faithful migration produces byte-identical profile reports.
-///
-/// [`Scenario`]: crate::scenario::Scenario
+/// A validated, runnable scenario compiled from a [`ScenarioDef`]: the
+/// one way a single-machine scenario runs. Every run shares one skeleton
+/// — boot or fork, the file's work, the pulse tasks, drain, oracle
+/// capture — so two runs of the same file, spec, chooser and options are
+/// byte-identical.
 #[derive(Clone, Debug)]
 pub struct CompiledScenario {
     name: String,
@@ -514,8 +515,8 @@ impl CompiledScenario {
     }
 
     /// Boots a fresh system and runs the scenario under `spec`, the
-    /// given chooser and options — the DSL counterpart of
-    /// [`Scenario::run_with`](crate::scenario::Scenario::run_with).
+    /// given chooser (`None` = the queue's own tie-break) and options,
+    /// and snapshots the oracle inputs.
     pub fn run_with(
         &self,
         spec: &FaultSpec,
@@ -526,8 +527,10 @@ impl CompiledScenario {
     }
 
     /// Like [`CompiledScenario::run_with`], but forks the pre-booted
-    /// frozen image `snap` instead of booting (the matrix path: one boot
-    /// per matrix, one fork per cell).
+    /// frozen image `snap` instead of booting (one boot per campaign or
+    /// matrix, one fork per run). The image is taken post-boot and
+    /// pre-knob ([`Scenario::boot_snapshot`](crate::scenario::Scenario::boot_snapshot)),
+    /// so a forked run is byte-identical to a booted one.
     pub fn run_forked(
         &self,
         snap: &SystemSnapshot,
@@ -539,8 +542,7 @@ impl CompiledScenario {
     }
 
     /// The compiled driver: grid spawns in table order, then steps in
-    /// file order, then the pulse tasks, then run-to-idle — the exact
-    /// sequence the hand-written scenarios follow.
+    /// file order, then the pulse tasks, then run-to-idle.
     fn drive(&self, t: &mut TestSystem) -> Vec<(String, String)> {
         let grid_handles = t.spawn_grid(&self.rows);
         let mut hook_cells: Vec<(String, Rc<RefCell<u32>>)> = Vec::new();
@@ -1366,8 +1368,8 @@ pub mod builtin {
         ),
     ];
 
-    /// The names of the schedule-explorable workload scenarios (the four
-    /// migrated from hand-written Rust).
+    /// The names of the schedule-explorable workload scenarios, in
+    /// [`Scenario::ALL`](crate::scenario::Scenario::ALL) order.
     pub const GRID: &[&str] = &["udp-cross-traffic", "ext2-churn", "dma-fanout", "mail-race"];
 
     /// The raw source of the named builtin, if it exists.

@@ -1,39 +1,42 @@
-//! The exploration driver: many runs, many schedules, one verdict.
+//! Schedule search: many runs, many schedules, one report.
 //!
-//! An [`Explorer`] runs a scenario once under the baseline schedule to
-//! establish the reference outcome, then spends its budget on perturbed
-//! runs — alternating seeded random walks with delay-bounded searches —
-//! recording every decision trace. Each run is checked against the
-//! always-on oracles (conservation, invariant audit); fault-free runs
-//! are additionally compared against the baseline end state.
+//! A [`Campaign`] spends a run budget on one scenario under one
+//! [`Strategy`]. It runs the scenario once under the baseline schedule
+//! to establish the reference outcome, then runs the budget: seeded
+//! random walks ([`Strategy::Random`]), PCT priority runs
+//! ([`Strategy::Pct`]), or the coverage-guided loop
+//! ([`Strategy::CoverageGuided`]) that arbitrates between walks, a
+//! bounded-deviation frontier and corpus mutants. Every run records its
+//! decision trace and is checked against the always-on oracles
+//! (conservation, invariant audit); fault-free runs are additionally
+//! compared against the baseline end state. The [`CampaignReport`]
+//! answers both "does any schedule break an oracle" (its failures, in
+//! run order) and "how much of the schedule space did the search cover"
+//! (distinct fingerprints, schedules and end states).
+//!
+//! The scenario is compiled from its `.k2.md` file once per campaign,
+//! and the system boots once: the coordinator freezes the post-boot
+//! image as a [`SystemSnapshot`] and every run, baseline included, forks
+//! it. A fork is byte-indistinguishable from a fresh boot (the
+//! differential snapshot suite pins this).
 //!
 //! # Parallelism
 //!
-//! Every perturbed run is a complete, self-contained simulation that
-//! owns all of its state, and its schedule policy is a pure function of
-//! `(seed, run index)`. The campaign is therefore embarrassingly
-//! parallel, and [`Explorer::run`] fans the budget out over a scoped
-//! worker pool (`K2CHECK_THREADS`, default: available parallelism).
-//! The system boots exactly *once* per campaign: the coordinator
-//! freezes the post-boot image as a [`SystemSnapshot`] and every run —
-//! baseline and perturbed alike — forks it, shaving the boot phase off
-//! each run's cost without touching any observable byte (a fork is
-//! byte-indistinguishable from a fresh boot; the differential snapshot
-//! suite pins this). Determinism survives because *what* each indexed
-//! run does never depends on which thread executes it or when — workers
-//! claim indices from an atomic counter, park results in per-index
-//! slots, and the report is merged strictly in index order. The
-//! exploration verdict, distinct-schedule count, and first-failure
-//! selection are byte-identical for any worker count, including one;
-//! the thread-invariance test pins this down.
+//! Every run is a complete, self-contained simulation that owns all of
+//! its state, and what it does is a pure function of the campaign's
+//! inputs, its run index and the results merged before its planning
+//! generation began. Workers claim indices from an atomic counter, park
+//! results in per-index slots, and the coordinator merges them strictly
+//! in index order (`fan_out`), so the report — including which failure
+//! is first — is byte-identical for any worker count, including one;
+//! `tests/parallel.rs` pins this down.
 
 use crate::corpus::Corpus;
+use crate::dsl::CompiledScenario;
 use crate::fingerprint::schedule_fingerprint;
 use crate::mutate::{Mutation, Mutator};
 use crate::oracle::EndState;
-use crate::policy::{
-    chooser_of, exploration_policy, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy,
-};
+use crate::policy::{chooser_of, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy};
 use crate::scenario::{FaultSpec, RunOptions, RunOutcome, Scenario};
 use crate::schedule::Schedule;
 use k2::system::SystemSnapshot;
@@ -79,33 +82,8 @@ pub struct Failure {
     pub policy: &'static str,
 }
 
-/// Aggregate result of one exploration campaign.
-pub struct ExplorationReport {
-    /// The scenario explored.
-    pub scenario: Scenario,
-    /// Total runs, including the baseline.
-    pub runs: u32,
-    /// Distinct decision traces observed.
-    pub distinct_schedules: usize,
-    /// Choice points hit across all runs.
-    pub total_choice_points: u64,
-    /// Every oracle violation found, in run-index order.
-    pub failures: Vec<Failure>,
-    /// The baseline run's end state (the differential reference).
-    pub baseline_end_state: EndState,
-    /// Worker threads the campaign actually used (1 = serial). Changing
-    /// this never changes any other field.
-    pub threads: usize,
-}
-
-impl ExplorationReport {
-    /// The first failure, if exploration found any.
-    pub fn first_failure(&self) -> Option<&Failure> {
-        self.failures.first()
-    }
-}
-
-/// Runs `scenario` under `policy`, recording the decision trace.
+/// Boots and runs `scenario` under `policy` with the full report,
+/// recording the decision trace.
 pub fn run_recorded(
     scenario: Scenario,
     spec: &FaultSpec,
@@ -113,7 +91,9 @@ pub fn run_recorded(
 ) -> (Schedule, RunOutcome) {
     let recorder = Recorder::new();
     let chooser = recorder.chooser(policy);
-    let outcome = scenario.run(spec, Some(chooser));
+    let outcome = scenario
+        .compile()
+        .run_with(spec, Some(chooser), RunOptions::full());
     (recorder.schedule(), outcome)
 }
 
@@ -122,7 +102,7 @@ pub fn run_recorded(
 /// fresh baseline run under the *same* spec, so the check stays valid as
 /// the shrinker rewrites the spec.
 ///
-/// Note the caveat the explorer respects but this replay check cannot:
+/// Note the caveat a campaign respects but this replay check cannot:
 /// under an active fault plan the fault dice are consumed in schedule
 /// order, so end-state divergence between two schedules of a *faulted*
 /// run may be legitimate. The shrinker compensates by preferring specs
@@ -132,8 +112,12 @@ pub fn check_failure(
     spec: &FaultSpec,
     schedule: &Schedule,
 ) -> Option<(FailureKind, String)> {
-    let baseline = scenario.run(spec, Some(chooser_of(Box::new(Baseline))));
-    let out = scenario.run(spec, Some(chooser_of(Box::new(Replay::new(schedule)))));
+    let compiled = scenario.compile();
+    let run = |policy: Box<dyn SchedulePolicy>| {
+        compiled.run_with(spec, Some(chooser_of(policy)), RunOptions::full())
+    };
+    let baseline = run(Box::new(Baseline));
+    let out = run(Box::new(Replay::new(schedule)));
     classify(&out, Some(&baseline.end_state))
 }
 
@@ -155,8 +139,8 @@ fn classify(out: &RunOutcome, reference: Option<&EndState>) -> Option<(FailureKi
     None
 }
 
-/// The PR-4 parallel fan-out discipline, shared by the [`Explorer`] and
-/// [`Campaign`]: workers claim indices `0..count` from an atomic
+/// The parallel fan-out discipline, shared by [`Campaign`] and the
+/// conformance matrix: workers claim indices `0..count` from an atomic
 /// counter, run the (index-pure) job, and park results in per-index
 /// slots; the returned vector is strictly index-ordered. The result is
 /// therefore independent of the worker count, including 1 (which runs
@@ -205,154 +189,6 @@ pub(crate) fn resolve_workers(configured: usize, cap: u32) -> usize {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     };
     n.min(cap.max(1) as usize)
-}
-
-/// Everything one perturbed run contributes to the campaign report.
-/// Workers produce these; the merge consumes them in index order.
-struct PerRun {
-    schedule: Schedule,
-    choice_points: u64,
-    policy: &'static str,
-    failure: Option<(FailureKind, String)>,
-}
-
-/// Executes perturbed run `index` of the campaign by forking the
-/// coordinator's frozen boot image. Pure in `(scenario, spec, seed,
-/// index, reference, snap)` — thread- and order-independent.
-fn perturbed_run(
-    scenario: Scenario,
-    spec: &FaultSpec,
-    seed: u64,
-    index: u32,
-    reference: Option<&EndState>,
-    snap: &SystemSnapshot,
-) -> PerRun {
-    let policy = exploration_policy(seed, index);
-    let policy_name = policy.name();
-    let recorder = Recorder::new();
-    let chooser = recorder.chooser(policy);
-    let outcome = scenario.run_forked(snap, spec, Some(chooser), RunOptions::lite());
-    let schedule = recorder.schedule();
-    PerRun {
-        schedule: schedule.trimmed(),
-        choice_points: outcome.choice_points,
-        policy: policy_name,
-        failure: classify(&outcome, reference),
-    }
-}
-
-/// A bounded exploration campaign over one scenario.
-pub struct Explorer {
-    scenario: Scenario,
-    spec: FaultSpec,
-    seed: u64,
-    budget: u32,
-    threads: usize,
-}
-
-impl Explorer {
-    /// An explorer with the fault-free spec, a default budget of 120
-    /// perturbed runs, and automatic thread-count selection.
-    pub fn new(scenario: Scenario, seed: u64) -> Self {
-        Explorer {
-            scenario,
-            spec: FaultSpec::none(),
-            seed,
-            budget: 120,
-            threads: 0,
-        }
-    }
-
-    /// Sets the fault envelope. With active faults the end-state oracle
-    /// is disabled (fault dice are consumed in schedule order, so benign
-    /// divergence is expected); conservation and the invariant audit
-    /// still apply to every run.
-    pub fn spec(mut self, spec: FaultSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Sets how many perturbed runs to spend.
-    pub fn budget(mut self, runs: u32) -> Self {
-        self.budget = runs;
-        self
-    }
-
-    /// Sets the worker-thread count. `0` (the default) means automatic:
-    /// the `K2CHECK_THREADS` environment variable if set and nonzero,
-    /// otherwise the host's available parallelism. The campaign's result
-    /// is byte-identical for every thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The worker count [`Explorer::run`] will actually use.
-    fn worker_count(&self) -> usize {
-        resolve_workers(self.threads, self.budget)
-    }
-
-    /// Runs the campaign.
-    ///
-    /// The system boots exactly once: the coordinator freezes the
-    /// post-boot image, the baseline executes first on the calling
-    /// thread as a fork of it (it is the differential reference for
-    /// everything else), and the perturbed budget then fans out across
-    /// the worker pool, each run forking the same frozen image.
-    /// Aggregation walks the per-index results in index order, so the
-    /// report — including which failure is "first" — matches a serial
-    /// run exactly.
-    pub fn run(&self) -> ExplorationReport {
-        let snap = Scenario::boot_snapshot();
-        let recorder = Recorder::new();
-        let chooser = recorder.chooser(Box::new(Baseline));
-        let baseline =
-            self.scenario
-                .run_forked(&snap, &self.spec, Some(chooser), RunOptions::lite());
-        let baseline_schedule = recorder.schedule();
-        let mut distinct: HashSet<Schedule> = HashSet::new();
-        distinct.insert(baseline_schedule.trimmed());
-        let mut total_choice_points = baseline.choice_points;
-        let mut failures = Vec::new();
-        if let Some((kind, detail)) = classify(&baseline, None) {
-            failures.push(Failure {
-                schedule: Schedule::baseline(),
-                kind,
-                detail,
-                policy: "baseline",
-            });
-        }
-        let differential = self.spec.is_nop();
-        let reference = differential.then_some(&baseline.end_state);
-        let workers = self.worker_count();
-
-        let per_run: Vec<PerRun> = fan_out(self.budget, workers, |i| {
-            perturbed_run(self.scenario, &self.spec, self.seed, i, reference, &snap)
-        });
-
-        for run in per_run {
-            total_choice_points += run.choice_points;
-            distinct.insert(run.schedule.clone());
-            if let Some((kind, detail)) = run.failure {
-                failures.push(Failure {
-                    schedule: run.schedule,
-                    kind,
-                    detail,
-                    policy: run.policy,
-                });
-            }
-        }
-
-        ExplorationReport {
-            scenario: self.scenario,
-            runs: self.budget + 1,
-            distinct_schedules: distinct.len(),
-            total_choice_points,
-            failures,
-            baseline_end_state: baseline.end_state,
-            threads: workers,
-        }
-    }
 }
 
 /// How a [`Campaign`] chooses its schedules.
@@ -552,7 +388,7 @@ struct CampaignRun {
 /// Executes one planned campaign run as a fork of the coordinator's
 /// frozen boot image. Pure in its arguments.
 fn campaign_run(
-    scenario: Scenario,
+    scenario: &CompiledScenario,
     spec: &FaultSpec,
     seed: u64,
     plan: &RunPlan,
@@ -687,10 +523,10 @@ impl CampaignReport {
 
 /// A budgeted search campaign over one scenario under one [`Strategy`].
 ///
-/// Where the [`Explorer`] answers "does any schedule break an oracle",
-/// a campaign also measures *how much of the schedule space* a strategy
-/// covers per run of budget — the metric the coverage-guided loop is
-/// built to move. Runs execute in planning generations of
+/// A campaign answers "does any schedule break an oracle" and measures
+/// *how much of the schedule space* a strategy covers per run of budget
+/// — the metric the coverage-guided loop is built to move. Runs execute
+/// in planning generations of
 /// [`GENERATION`]: the coordinator derives every plan in a generation
 /// from the corpus frozen at its start (mutation happens here, not on
 /// workers), fans the runs out under the shared index-claiming
@@ -721,8 +557,10 @@ impl Campaign {
         }
     }
 
-    /// Sets the fault envelope (disables the end-state oracle when any
-    /// knob is active, exactly like [`Explorer::spec`]).
+    /// Sets the fault envelope. With active faults the end-state oracle
+    /// is disabled (fault dice are consumed in schedule order, so benign
+    /// divergence is expected); conservation and the invariant audit
+    /// still apply to every run.
     pub fn spec(mut self, spec: FaultSpec) -> Self {
         self.spec = spec;
         self
@@ -734,8 +572,10 @@ impl Campaign {
         self
     }
 
-    /// Sets the worker-thread count (0 = automatic, as
-    /// [`Explorer::threads`]).
+    /// Sets the worker-thread count. `0` (the default) means automatic:
+    /// the `K2CHECK_THREADS` environment variable if set and nonzero,
+    /// otherwise the host's available parallelism. The report is
+    /// byte-identical for every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -825,16 +665,17 @@ impl Campaign {
         }
     }
 
-    /// Runs the campaign: baseline first (the differential reference,
+    /// Runs the campaign: compile the scenario and freeze the boot image
+    /// once, run the baseline first (the differential reference,
     /// fingerprint-counted but never admitted to the corpus), then the
     /// budget in planning generations.
     pub fn run(&self) -> CampaignReport {
+        let scenario = self.scenario.compile();
         let snap = Scenario::boot_snapshot();
         let recorder = Recorder::new();
         let chooser = recorder.chooser(Box::new(Baseline));
         let baseline =
-            self.scenario
-                .run_forked(&snap, &self.spec, Some(chooser), RunOptions::coverage());
+            scenario.run_forked(&snap, &self.spec, Some(chooser), RunOptions::coverage());
         let baseline_fp = schedule_fingerprint(
             &recorder.class_trace(),
             recorder.schedule().decisions(),
@@ -956,7 +797,7 @@ impl Campaign {
                 .collect();
             let runs: Vec<CampaignRun> = fan_out(count, workers, |o| {
                 campaign_run(
-                    self.scenario,
+                    &scenario,
                     &self.spec,
                     self.seed,
                     &plans[o as usize],

@@ -135,24 +135,27 @@ impl FleetSpec {
         self.hubs + self.devices
     }
 
-    /// Panics unless the spec is well-formed (mirrors the DSL checks).
-    pub fn validate(&self) {
-        assert!(self.devices >= 1, "fleet needs at least one device");
-        assert!(self.hubs >= 1, "fleet needs at least one hub");
-        assert!(
-            self.machines() <= u16::MAX as u32,
-            "machine addresses are u16"
-        );
-        assert!(self.epochs >= 1 && !self.epoch.is_zero(), "empty schedule");
-        assert!(self.burst >= 1 && self.bursts >= 1, "empty workload");
-        assert!(
-            !self.latency_min.is_zero() && self.latency_min <= self.latency_max,
-            "bad latency band"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.loss) && (0.0..=1.0).contains(&self.reorder),
-            "probabilities out of range"
-        );
+    /// Checks the spec is well-formed (the rules the DSL's `k2 fleet`
+    /// parser applies) and names the first broken one. Every `run_fleet*`
+    /// entry point refuses a spec that fails this.
+    pub fn validate(&self) -> Result<(), String> {
+        let rate = 0.0..=1.0;
+        let broken = if self.devices == 0 || self.hubs == 0 {
+            "devices and hubs must both be at least 1"
+        } else if self.devices.saturating_add(self.hubs) > u32::from(u16::MAX) {
+            "devices + hubs must fit in u16 machine addresses"
+        } else if self.epochs == 0 || self.epoch.is_zero() {
+            "epochs and the epoch length must be positive"
+        } else if self.burst == 0 || self.bursts == 0 {
+            "burst and bursts must be positive"
+        } else if self.latency_min.is_zero() || self.latency_min > self.latency_max {
+            "the latency band needs 0 < latency_min <= latency_max"
+        } else if !rate.contains(&self.loss) || !rate.contains(&self.reorder) {
+            "loss and reorder must be rates in [0, 1]"
+        } else {
+            return Ok(());
+        };
+        Err(broken.to_string())
     }
 }
 
@@ -1039,7 +1042,9 @@ fn run_fleet_inner(
     snap: &SystemSnapshot,
     collect_trace: bool,
 ) -> (FleetReport, Option<String>) {
-    spec.validate();
+    if let Err(e) = spec.validate() {
+        panic!("invalid fleet spec: {e}");
+    }
     let total = spec.machines();
     let workers = resolve_workers(spec.workers, total);
     let chunk = total.div_ceil(workers.min(total as usize) as u32);

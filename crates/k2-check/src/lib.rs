@@ -9,16 +9,20 @@
 //! loom/shuttle but at the whole-SoC level:
 //!
 //! * **Policies** ([`policy`]) decide each co-enabled ordering: seeded
-//!   random walks, delay-bounded searches, and exact replay.
+//!   random walks, PCT priority runs, and exact replay.
 //! * **Schedules** ([`schedule`]) are the recorded decision traces —
 //!   compact `k2s1-…` tokens that reproduce a run bit for bit.
-//! * **Scenarios** ([`scenario`]) are the cross-domain workloads the
-//!   explorer drives, plus the fault envelope they run under.
+//! * **Scenarios** ([`scenario`]) name the cross-domain workloads a
+//!   campaign drives — each one a checked-in `scenarios/*.k2.md` file
+//!   compiled by [`dsl`] — plus the fault envelope they run under.
 //! * **Oracles** ([`oracle`]) say what must hold on *every* schedule:
 //!   counter conservation and (for fault-free runs) end-state
 //!   equivalence against the baseline ordering.
-//! * The **explorer** ([`explorer`]) spends a run budget searching for
-//!   violations; the **shrinker** ([`shrink`]) minimizes what it finds;
+//! * A **campaign** ([`Campaign`], in [`explorer`]) spends a run budget
+//!   under one [`Strategy`] — random walks, PCT, or the coverage-guided
+//!   corpus loop ([`corpus`], [`mutate`], [`fingerprint`]) — and reports
+//!   both the oracle violations it found and how much of the schedule
+//!   space it covered; the **shrinker** ([`mod@shrink`]) minimizes a failure;
 //!   and [`repro`] emits the minimized failure as a self-contained
 //!   `#[test]` under `tests/repros/`.
 //!
@@ -26,10 +30,10 @@
 //! permutes orderings the queue already considered simultaneous, so
 //! every explored schedule is a legal execution of the same program.
 //!
-//! Scenarios can also be written declaratively: [`dsl`] parses the
-//! checked-in `scenarios/*.k2.md` files (spec = test = doc) onto the
-//! same run machinery, and [`matrix`] expands them into the
-//! deterministic conformance matrix `k2-matrix` reports on.
+//! Every scenario is declarative: [`dsl`] parses the checked-in
+//! `scenarios/*.k2.md` files (spec = test = doc) onto the run machinery,
+//! [`matrix`] expands them into the deterministic conformance matrix
+//! `k2-matrix` reports on, and [`fleet`] runs the fleet files.
 
 #![warn(missing_docs)]
 
@@ -50,8 +54,7 @@ pub mod shrink;
 pub use corpus::Corpus;
 pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
 pub use explorer::{
-    check_failure, run_recorded, Campaign, CampaignReport, ExplorationReport, Explorer, Failure,
-    FailureKind, Strategy,
+    check_failure, run_recorded, Campaign, CampaignReport, Failure, FailureKind, Strategy,
 };
 pub use fingerprint::{schedule_fingerprint, span_shape_hash};
 pub use fleet::{
@@ -61,10 +64,7 @@ pub use fleet::{
 pub use matrix::{MatrixOutcome, MatrixSpec};
 pub use mutate::{Mutation, Mutator, MAX_DECISION, MAX_LEN};
 pub use oracle::{capture_end_state, check_conservation, EndState};
-pub use policy::{
-    chooser_of, exploration_policy, Baseline, DelayBounded, Pct, RandomWalk, Recorder, Replay,
-    SchedulePolicy,
-};
+pub use policy::{chooser_of, Baseline, Pct, RandomWalk, Recorder, Replay, SchedulePolicy};
 pub use scenario::{FaultSpec, RunOptions, RunOutcome, Scenario};
 pub use schedule::{Schedule, TokenError};
 pub use shrink::{shrink, ShrinkResult};

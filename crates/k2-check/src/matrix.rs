@@ -2,15 +2,15 @@
 //!
 //! [`MatrixSpec`] describes a run matrix — scenario × seed × fault
 //! preset × chooser × sink — over the declarative scenarios of
-//! [`crate::dsl`]. [`MatrixSpec::run`] expands it with the explorer's
+//! [`crate::dsl`]. [`MatrixSpec::run`] expands it with the campaign's
 //! strict index-order merge ([`crate::explorer`]'s `fan_out`), so the
 //! cell vector, every per-cell byte, and the summary [digest] are
 //! identical for any `K2CHECK_THREADS` / worker count. One system image
 //! is booted per matrix and forked per cell (the PR 7 snapshot path).
 //!
 //! Expectation tables from the scenario files (`k2 expect` blocks) are
-//! checked on the *baseline-chooser, full-sink* cells — the cells whose
-//! bytes the hand-written scenarios historically pinned; randomized-walk
+//! checked on the *baseline-chooser, full-sink* cells — the queue's own
+//! tie-break and the full profile report; randomized-walk
 //! and lite cells exercise the schedule space and the zero-cost
 //! observability path instead, under the conservation and audit oracles
 //! only.

@@ -1,17 +1,23 @@
-//! The workloads the explorer drives, and the fault envelope they run in.
+//! The workloads campaigns drive, and the fault envelope and run
+//! skeleton they share.
 //!
-//! Each [`Scenario`] boots a fresh K2 system through the shared
-//! [`TestSystem`] harness, spawns cross-domain work, runs to completion
-//! under an optional schedule chooser, drains in-flight deliveries, and
-//! snapshots the differential-oracle inputs into a [`RunOutcome`].
+//! A [`Scenario`] names one of the four grid files under `scenarios/`;
+//! [`Scenario::compile`] turns it into a
+//! [`CompiledScenario`], whose runs go
+//! through `run_system`: boot (or fork) a K2 system through the shared
+//! [`TestSystem`] harness, spawn the file's cross-domain work, run to
+//! completion under an optional schedule chooser, drain in-flight
+//! deliveries, and snapshot the differential-oracle inputs into a
+//! [`RunOutcome`].
 //!
-//! Every scenario also spawns a pair of lock-step "pulse" tasks on the
-//! strong domain's two equal-frequency cores. Their step boundaries tie
-//! at every round, guaranteeing a deep supply of genuine co-enabled
-//! choice points regardless of how the main workload's timing falls —
-//! without them, a scenario could accidentally have a near-linear
-//! schedule space and exploration would be vacuous.
+//! Every run also spawns "pulse" tasks on the file's `pulse_cores` cores
+//! of each domain. Their step boundaries tie at every round, guaranteeing
+//! a deep supply of genuine co-enabled choice points regardless of how
+//! the main workload's timing falls — without them, a scenario could
+//! accidentally have a near-linear schedule space and exploration would
+//! be vacuous.
 
+use crate::dsl::{self, CompiledScenario};
 use crate::oracle::{self, EndState, DOMAINS};
 use k2::system::{K2Machine, K2System, SystemConfig, SystemSnapshot};
 use k2_sim::explore::ScheduleChooser;
@@ -19,21 +25,13 @@ use k2_sim::json::JsonWriter;
 use k2_sim::sink::SinkMode;
 use k2_sim::time::SimDuration;
 use k2_soc::fault::FaultPlan;
-use k2_soc::ids::{DomainId, IrqId};
-use k2_soc::mailbox::Mail;
 use k2_soc::platform::{Step, Task, TaskCx};
-use k2_workloads::harness::{TestSystem, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
+use k2_workloads::harness::TestSystem;
 
 /// How long past task completion a run keeps simulating so in-flight
 /// mailbox deliveries and DMA completions settle before the conservation
 /// oracle reads the totals.
 const DRAIN: SimDuration = SimDuration::from_ms(10);
-
-/// Rounds each pulse task runs; every round contributes co-enabled step
-/// and wake events, so this bounds the minimum choice-point depth.
-const PULSE_ROUNDS: u32 = 24;
 
 /// A shrinkable description of the fault envelope a run executes under.
 ///
@@ -120,8 +118,9 @@ impl FaultSpec {
 
 /// What one run records beyond the simulation itself: how heavy the
 /// observability machinery is, and which artifacts to produce at the end.
-/// Pass it to [`Scenario::run_with`] or [`Scenario::run_forked`]; the
-/// constructors below are the named presets.
+/// Pass it to [`CompiledScenario::run_with`] or
+/// [`CompiledScenario::run_forked`]; the constructors below are the
+/// named presets.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// Render `report_json` (the single most expensive step of a run).
@@ -136,8 +135,8 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// The [`Scenario::run`] preset: full report, boot-default sink.
-    /// Replay and byte-identity checks need it.
+    /// Full report, boot-default sink. Replay and byte-identity checks
+    /// need it.
     pub fn full() -> Self {
         RunOptions {
             render_report: true,
@@ -148,8 +147,8 @@ impl RunOptions {
 
     /// No report and the disabled span sink. The oracles never read the
     /// report or the spans, and both are pure observation — recording
-    /// never perturbs event timing — so exploration runs, which only
-    /// classify their outcomes, use this preset.
+    /// never perturbs event timing — so runs that only classify their
+    /// outcomes (the conformance matrix's lite cells) use this preset.
     pub fn lite() -> Self {
         RunOptions {
             render_report: false,
@@ -205,11 +204,10 @@ pub struct RunOutcome {
     pub audit: Result<(), String>,
 }
 
-/// A scenario's workload driver: spawns the work against a booted
-/// system and returns the scenario-specific end-state extras.
-type DriverFn = Box<dyn FnOnce(&mut TestSystem) -> Vec<(String, String)>>;
-
-/// A named, reproducible exploration target.
+/// One of the four schedule-explored workloads, named by its checked-in
+/// grid file `scenarios/<name>.k2.md`. The file is the scenario's only
+/// definition: [`Scenario::compile`] loads and compiles it, and the
+/// compiled form is what runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// Symmetric UDP loopback traffic on both domains.
@@ -242,7 +240,8 @@ impl Scenario {
         Scenario::DmaFanout,
     ];
 
-    /// Kebab-case name, used for repro file names.
+    /// Kebab-case name: the builtin file stem, also used for repro file
+    /// names.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::UdpCrossTraffic => "udp-cross-traffic",
@@ -262,38 +261,19 @@ impl Scenario {
         }
     }
 
-    /// Boots a fresh system, runs this scenario under `spec` and the
-    /// given chooser (None = the queue's own tie-break), and snapshots
-    /// the oracle inputs.
-    pub fn run(self, spec: &FaultSpec, chooser: Option<ScheduleChooser>) -> RunOutcome {
-        self.run_with(spec, chooser, RunOptions::full())
-    }
-
-    /// Boots a fresh system, runs this scenario under `spec`, the given
-    /// chooser and explicit [`RunOptions`], and snapshots the oracle
-    /// inputs.
-    pub fn run_with(
-        self,
-        spec: &FaultSpec,
-        chooser: Option<ScheduleChooser>,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        run_system(None, spec, chooser, opts, self.driver())
-    }
-
-    /// Like [`Scenario::run_with`], but forks the pre-booted frozen image
-    /// `snap` instead of booting. The snapshot is taken post-boot and
-    /// pre-knob (see [`Scenario::boot_snapshot`]), so the forked run is
-    /// byte-identical to a boot-then-run of the same scenario, spec,
-    /// chooser and options — the differential suite pins this down.
-    pub fn run_forked(
-        self,
-        snap: &SystemSnapshot,
-        spec: &FaultSpec,
-        chooser: Option<ScheduleChooser>,
-        opts: RunOptions,
-    ) -> RunOutcome {
-        run_system(Some(snap), spec, chooser, opts, self.driver())
+    /// Loads and compiles the scenario's builtin grid file. Run the
+    /// result with [`CompiledScenario::run_with`] or
+    /// [`CompiledScenario::run_forked`]; callers that run a scenario many
+    /// times compile it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the builtin fails to compile. The four files are checked
+    /// in and run by the test suite, so that is a bug.
+    pub fn compile(self) -> CompiledScenario {
+        dsl::builtin::load(self.name())
+            .compile()
+            .unwrap_or_else(|e| panic!("builtin scenario `{}` failed to compile: {e}", self.name()))
     }
 
     /// Boots the scenario harness's standard system once and freezes it
@@ -304,105 +284,6 @@ impl Scenario {
     /// freeze it once on the coordinator and fork per run.
     pub fn boot_snapshot() -> SystemSnapshot {
         TestSystem::freeze_boot(SystemConfig::k2())
-    }
-
-    /// The scenario's workload driver: spawns the work, runs to
-    /// completion, and returns the scenario-specific end-state extras.
-    fn driver(self) -> DriverFn {
-        match self {
-            Scenario::UdpCrossTraffic => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "udp-a" } else { "udp-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Udp {
-                            batch: 8 << 10,
-                            total: 24 << 10,
-                        },
-                        i as u32,
-                    );
-                    extra.push((format!("udp[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::Ext2Churn => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "fs-a" } else { "fs-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Ext2 {
-                            file_size: 8 << 10,
-                            files: 3,
-                        },
-                        17 + 82 * i as u32,
-                    );
-                    extra.push((format!("ext2[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::DmaFanout => Box::new(|t| {
-                let mut extra = Vec::new();
-                for (i, &dom) in DOMAINS.iter().enumerate() {
-                    let id = t.background(if i == 0 { "dma-a" } else { "dma-b" });
-                    let report = t.spawn_workload(
-                        dom,
-                        id,
-                        Workload::Dma {
-                            batch: 8 << 10,
-                            total: 32 << 10,
-                        },
-                        i as u32,
-                    );
-                    extra.push((format!("dma[{i}].bytes"), report));
-                }
-                spawn_pulses(t);
-                t.run_until_idle();
-                extra
-                    .into_iter()
-                    .map(|(k, r)| (k, r.borrow().bytes.to_string()))
-                    .collect()
-            }),
-            Scenario::MailRace => Box::new(|t| {
-                // Replace the weak domain's mailbox ISR with one that keeps
-                // only the *last* mail it drains — the planted ordering bug.
-                let last = Rc::new(RefCell::new(0u32));
-                let cell = last.clone();
-                t.m.set_irq_hook(
-                    DomainId::WEAK,
-                    IrqId::mailbox_for(DomainId::WEAK),
-                    Box::new(move |_w: &mut K2System, m: &mut K2Machine, _cx| {
-                        let mut cycles = 0u64;
-                        while let Some(env) = m.mailbox_recv(DomainId::WEAK) {
-                            *cell.borrow_mut() = env.mail.0;
-                            cycles += 120;
-                        }
-                        cycles
-                    }),
-                );
-                // Two same-instant sends: their MailDeliver events are
-                // co-enabled, so the chooser decides which lands first.
-                t.m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(0xB0B0_0001));
-                t.m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(0xB0B0_0002));
-                spawn_pulses(t);
-                t.run_until_idle();
-                let last = *last.borrow();
-                vec![("mailrace.last".to_string(), format!("{last:08x}"))]
-            }),
-        }
     }
 }
 
@@ -445,14 +326,8 @@ impl Task<K2System> for PulseTask {
     }
 }
 
-/// Spawns pulse tasks on up to two cores of each domain.
-fn spawn_pulses(t: &mut TestSystem) {
-    spawn_pulses_with(t, 2, PULSE_ROUNDS);
-}
-
 /// Spawns `rounds`-round pulse tasks on up to `cores` cores of each
-/// domain — the parameterized form DSL-compiled scenarios use, with the
-/// same grid alignment as the hand-written scenarios.
+/// domain (a scenario file's `pulse_cores` and `pulse_rounds`).
 pub(crate) fn spawn_pulses_with(t: &mut TestSystem, cores: u32, rounds: u32) {
     for dom in DOMAINS {
         let picked: Vec<_> =
@@ -586,7 +461,9 @@ mod tests {
     #[test]
     fn every_scenario_generates_deep_choice_points() {
         for s in Scenario::ALL {
-            let out = s.run(&FaultSpec::none(), None);
+            let out = s
+                .compile()
+                .run_with(&FaultSpec::none(), None, RunOptions::full());
             assert!(
                 out.choice_points >= 40,
                 "{}: only {} choice points — exploration would be vacuous",
@@ -601,8 +478,9 @@ mod tests {
     #[test]
     fn baseline_runs_are_reproducible() {
         for s in [Scenario::Ext2Churn, Scenario::MailRace] {
-            let a = s.run(&FaultSpec::none(), None);
-            let b = s.run(&FaultSpec::none(), None);
+            let compiled = s.compile();
+            let a = compiled.run_with(&FaultSpec::none(), None, RunOptions::full());
+            let b = compiled.run_with(&FaultSpec::none(), None, RunOptions::full());
             assert_eq!(a.report_json, b.report_json, "{}", s.name());
             assert_eq!(a.end_state, b.end_state, "{}", s.name());
         }

@@ -1,11 +1,13 @@
-//! Acceptance suite for the schedule explorer.
+//! Acceptance suite for schedule exploration.
 //!
 //! Budgets honor `K2CHECK_BUDGET` (perturbed runs per scenario) and
-//! `K2CHECK_SEED` so CI can sweep seeds without recompiling.
+//! `K2CHECK_SEED` so CI can sweep seeds without recompiling. The
+//! oracle-hunting tests run random campaigns: each run is a seeded walk
+//! on stream `1000 + index`.
 
 use k2_check::{
-    check_failure, chooser_of, repro, run_recorded, shrink, Baseline, Campaign, Explorer,
-    FailureKind, FaultSpec, RandomWalk, Replay, Scenario, Schedule, Strategy,
+    check_failure, chooser_of, repro, run_recorded, shrink, Baseline, Campaign, FailureKind,
+    FaultSpec, RandomWalk, Replay, RunOptions, Scenario, Schedule, Strategy,
 };
 
 fn budget() -> u32 {
@@ -28,7 +30,9 @@ fn seed() -> u64 {
 #[test]
 fn fault_free_scenarios_are_schedule_invariant_across_100_plus_schedules() {
     for scenario in Scenario::WELL_BEHAVED {
-        let report = Explorer::new(scenario, seed()).budget(budget()).run();
+        let report = Campaign::new(scenario, Strategy::Random, seed())
+            .budget(budget())
+            .run();
         assert!(
             report.failures.is_empty(),
             "{}: {} oracle violations, first: {} ({}) on {}",
@@ -63,7 +67,7 @@ fn conservation_holds_under_faults_on_every_schedule() {
         dma_partial: 0.10,
     };
     for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
-        let report = Explorer::new(scenario, seed())
+        let report = Campaign::new(scenario, Strategy::Random, seed())
             .spec(spec)
             .budget(budget().min(40))
             .run();
@@ -83,7 +87,7 @@ fn conservation_holds_under_faults_on_every_schedule() {
 /// emitted as a self-contained test under `tests/repros/`.
 #[test]
 fn seeded_mail_race_is_caught_shrunk_and_emitted() {
-    let report = Explorer::new(Scenario::MailRace, seed())
+    let report = Campaign::new(Scenario::MailRace, Strategy::Random, seed())
         .budget(budget())
         .run();
     assert!(
@@ -152,13 +156,18 @@ fn seeded_mail_race_is_caught_shrunk_and_emitted() {
 fn replaying_a_recorded_schedule_reproduces_the_report_bytes() {
     let spec = FaultSpec::none();
     for scenario in [Scenario::Ext2Churn, Scenario::MailRace] {
+        let compiled = scenario.compile();
         for stream in 0..3u64 {
             let (schedule, original) = run_recorded(
                 scenario,
                 &spec,
                 Box::new(RandomWalk::new(seed(), 7_000 + stream)),
             );
-            let replayed = scenario.run(&spec, Some(chooser_of(Box::new(Replay::new(&schedule)))));
+            let replayed = compiled.run_with(
+                &spec,
+                Some(chooser_of(Box::new(Replay::new(&schedule)))),
+                RunOptions::full(),
+            );
             assert_eq!(
                 original.report_json,
                 replayed.report_json,
@@ -224,6 +233,35 @@ fn coverage_guided_strictly_beats_random_on_every_scenario_at_both_seeds() {
     }
 }
 
+/// The committed coverage-guided campaign output: one serial 200-run
+/// campaign per scenario at seed 2014 must end on these corpus digests,
+/// the values EXPERIMENTS.md and the benchmark's `campaign` workload
+/// print. A digest folds every admitted trace and its fingerprint, so
+/// any change to a scenario's runs, the planner or the fingerprint
+/// shows here.
+#[test]
+fn coverage_guided_corpus_digests_are_pinned() {
+    let pinned = [
+        (Scenario::UdpCrossTraffic, "12b83862cd6a3149"),
+        (Scenario::Ext2Churn, "38cf97757977c67d"),
+        (Scenario::DmaFanout, "0b6591d5f46d700d"),
+        (Scenario::MailRace, "24197e4ee68ef937"),
+    ];
+    assert_eq!(pinned.map(|(s, _)| s), Scenario::ALL);
+    for (scenario, digest) in pinned {
+        let report = Campaign::new(scenario, Strategy::CoverageGuided, 2014)
+            .budget(200)
+            .threads(1)
+            .run();
+        assert_eq!(
+            format!("{:016x}", report.corpus_digest),
+            digest,
+            "{}: corpus digest drifted",
+            scenario.name()
+        );
+    }
+}
+
 /// The baseline policy must reproduce the machine's native tie-break: an
 /// all-zero trace and the same outcome as running with no chooser at all.
 #[test]
@@ -232,7 +270,9 @@ fn baseline_policy_matches_the_native_schedule() {
     let (schedule, with_chooser) = run_recorded(Scenario::Ext2Churn, &spec, Box::new(Baseline));
     assert_eq!(schedule.deviations(), 0);
     assert_eq!(schedule.trimmed(), Schedule::baseline());
-    let native = Scenario::Ext2Churn.run(&spec, None);
+    let native = Scenario::Ext2Churn
+        .compile()
+        .run_with(&spec, None, RunOptions::full());
     assert_eq!(with_chooser.report_json, native.report_json);
     assert_eq!(with_chooser.end_state, native.end_state);
 }

@@ -5,8 +5,8 @@
 //! recorder on real scenario runs.
 
 use k2_check::{
-    chooser_of, run_recorded, FaultSpec, Mutator, RandomWalk, Recorder, Replay, Scenario, Schedule,
-    MAX_DECISION, MAX_LEN,
+    chooser_of, run_recorded, FaultSpec, Mutator, RandomWalk, Recorder, Replay, RunOptions,
+    Scenario, Schedule, MAX_DECISION, MAX_LEN,
 };
 
 /// Parents recorded from real runs: a couple of random walks plus the
@@ -84,12 +84,13 @@ fn replayed_mutants_stay_within_clamp_bounds_and_re_replay_exactly() {
         &spec,
         Box::new(RandomWalk::new(2014, 3)),
     );
+    let compiled = Scenario::MailRace.compile();
     let mut mutator = Mutator::new(4202, 5);
     for _ in 0..12 {
         let (_, child) = mutator.mutate(&parent, Some(&parent));
         let recorder = Recorder::new();
         let chooser = recorder.chooser(Box::new(Replay::new(&child)));
-        let outcome = Scenario::MailRace.run(&spec, Some(chooser));
+        let outcome = compiled.run_with(&spec, Some(chooser), RunOptions::full());
         let recorded = recorder.schedule();
         let trace = recorder.class_trace();
         assert_eq!(
@@ -103,8 +104,11 @@ fn replayed_mutants_stay_within_clamp_bounds_and_re_replay_exactly() {
                 "recorded decision {d} out of range for arity {arity}"
             );
         }
-        let replayed =
-            Scenario::MailRace.run(&spec, Some(chooser_of(Box::new(Replay::new(&recorded)))));
+        let replayed = compiled.run_with(
+            &spec,
+            Some(chooser_of(Box::new(Replay::new(&recorded)))),
+            RunOptions::full(),
+        );
         assert_eq!(
             outcome.report_json, replayed.report_json,
             "recorded mutant schedule must replay byte-identically"
@@ -125,11 +129,12 @@ fn truncated_traces_replay_as_their_prefix() {
         Box::new(RandomWalk::new(2014, 4)),
     );
     assert!(parent.len() > 8, "walk must hit choice points to cut");
+    let compiled = Scenario::Ext2Churn.compile();
     for cut in [1, parent.len() / 2, parent.len() - 1] {
         let truncated = parent.prefix(cut);
         let recorder = Recorder::new();
         let chooser = recorder.chooser(Box::new(Replay::new(&truncated)));
-        Scenario::Ext2Churn.run(&spec, Some(chooser));
+        compiled.run_with(&spec, Some(chooser), RunOptions::full());
         let recorded = recorder.schedule();
         assert_eq!(
             &recorded.decisions()[..cut],

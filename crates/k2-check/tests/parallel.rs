@@ -1,141 +1,74 @@
-//! Thread-count invariance of the parallel explorer.
+//! Thread-count invariance of exploration campaigns.
 //!
-//! PR 4's contract: an exploration campaign's observable result is a pure
-//! function of `(scenario, spec, seed, budget)` — the worker count can
-//! change only `ExplorationReport::threads` and wall-clock time. These
-//! tests run the same campaigns with 1, 2 and 8 workers and require every
-//! observable field to be identical, including the repro token of every
-//! failure the buggy scenario yields.
+//! A campaign's observable result is a pure function of `(scenario,
+//! strategy, spec, seed, budget)`: the worker count can change only
+//! `CampaignReport::threads` and wall-clock time. These tests run the
+//! same campaigns with 1, 2 and 8 workers and with automatic selection,
+//! and require the rendered report — every coverage counter and the
+//! repro token of every failure — to be identical.
 //!
-//! Since PR 7 every campaign run is a *fork* of one coordinator-frozen
-//! post-boot snapshot rather than a fresh boot, so these tests now pin
-//! the invariance of the forked path; the fork-specific tests at the
-//! bottom additionally pin that worker forks never leak state back into
-//! the shared frozen image.
+//! Every campaign run is a *fork* of one coordinator-frozen post-boot
+//! snapshot rather than a fresh boot, so these tests pin the invariance
+//! of the forked path; the fork-specific tests at the bottom
+//! additionally pin that worker forks never leak state back into the
+//! shared frozen image.
 
-use k2_check::{Campaign, ExplorationReport, Explorer, FaultSpec, Scenario, Strategy};
+use k2_check::{Campaign, FaultSpec, Scenario, Strategy};
 
 const SEED: u64 = 0xD1CE;
 const BUDGET: u32 = 24;
 
-/// Everything a campaign reports, minus `threads` and the end state's
-/// identity (compared separately), flattened for an exact comparison.
-fn observables(r: &ExplorationReport) -> (u32, usize, u64, Vec<(String, String, String)>) {
-    let failures = r
-        .failures
-        .iter()
-        .map(|f| (f.schedule.token(), f.kind.to_string(), f.policy.to_string()))
-        .collect();
-    (
-        r.runs,
-        r.distinct_schedules,
-        r.total_choice_points,
-        failures,
-    )
-}
-
-fn campaign(scenario: Scenario, spec: FaultSpec, threads: usize) -> ExplorationReport {
-    Explorer::new(scenario, SEED)
-        .spec(spec)
-        .budget(BUDGET)
-        .threads(threads)
-        .run()
-}
-
-/// Fault-free campaigns over every scenario are byte-identical under 1,
-/// 2 and 8 workers.
-#[test]
-fn exploration_is_thread_count_invariant() {
-    for scenario in Scenario::ALL {
-        let serial = campaign(scenario, FaultSpec::none(), 1);
-        assert_eq!(serial.threads, 1);
-        for workers in [2, 8] {
-            let parallel = campaign(scenario, FaultSpec::none(), workers);
-            assert_eq!(
-                observables(&serial),
-                observables(&parallel),
-                "{} diverged at {workers} workers",
-                scenario.name()
-            );
-            assert!(
-                serial
-                    .baseline_end_state
-                    .diff(&parallel.baseline_end_state)
-                    .is_empty(),
-                "{} baseline end state diverged at {workers} workers",
-                scenario.name()
-            );
-        }
-    }
-}
-
-/// The seeded mailbox race is found — with the same first failure and the
-/// same repro trace token — no matter how many workers hunt for it.
-#[test]
-fn first_failure_selection_is_deterministic_across_workers() {
-    let serial = campaign(Scenario::MailRace, FaultSpec::none(), 1);
-    let first = serial
-        .first_failure()
-        .expect("the seeded mail race must be found");
-    for workers in [2, 8] {
-        let parallel = campaign(Scenario::MailRace, FaultSpec::none(), workers);
-        let pfirst = parallel
-            .first_failure()
-            .expect("parallel campaign must find the race too");
-        assert_eq!(first.schedule.token(), pfirst.schedule.token());
-        assert_eq!(first.kind, pfirst.kind);
-        assert_eq!(first.policy, pfirst.policy);
-        assert_eq!(first.detail, pfirst.detail);
-    }
-}
-
-/// Coverage-guided campaigns extend the invariance contract to the
-/// feedback loop: the rendered campaign report (which spans every
-/// coverage counter and failure token) and the corpus digest are
-/// byte-identical under 1, 2 and 8 workers, for every strategy. This is
-/// the property the generation-planned design exists to provide — all
-/// adaptation happens on the coordinator against merged state, so
-/// workers can only change wall-clock time.
+/// All four scenarios under the random strategy, and the planted race
+/// plus one well-behaved scenario under PCT and coverage guidance: the
+/// rendered campaign report and the corpus digest are byte-identical
+/// under 1, 2 and 8 workers and under `threads(0)`, which resolves
+/// automatically (env var or host parallelism) and reports what it
+/// chose. For the planted mail race that includes the first failure's
+/// run index and repro token. This is the property the
+/// generation-planned design exists to provide — all adaptation happens
+/// on the coordinator against merged state, so workers can only change
+/// wall-clock time.
 #[test]
 fn campaign_reports_and_corpus_digests_are_worker_count_invariant() {
-    for strategy in [Strategy::Random, Strategy::Pct, Strategy::CoverageGuided] {
-        for scenario in [Scenario::MailRace, Scenario::DmaFanout] {
-            let serial = Campaign::new(scenario, strategy, SEED)
+    let guided = [Strategy::Pct, Strategy::CoverageGuided]
+        .into_iter()
+        .flat_map(|st| [(st, Scenario::MailRace), (st, Scenario::DmaFanout)]);
+    let cases = Scenario::ALL
+        .map(|s| (Strategy::Random, s))
+        .into_iter()
+        .chain(guided);
+    for (strategy, scenario) in cases {
+        let run = |threads| {
+            Campaign::new(scenario, strategy, SEED)
                 .budget(BUDGET * 2)
-                .threads(1)
-                .run();
-            for workers in [2, 8] {
-                let parallel = Campaign::new(scenario, strategy, SEED)
-                    .budget(BUDGET * 2)
-                    .threads(workers)
-                    .run();
-                assert_eq!(
-                    serial.render_json(),
-                    parallel.render_json(),
-                    "{} {} campaign report diverged at {workers} workers",
-                    scenario.name(),
-                    strategy.name(),
-                );
-                assert_eq!(
-                    serial.corpus_digest,
-                    parallel.corpus_digest,
-                    "{} {} corpus digest diverged at {workers} workers",
-                    scenario.name(),
-                    strategy.name(),
-                );
-            }
+                .threads(threads)
+                .run()
+        };
+        let serial = run(1);
+        assert_eq!(serial.threads, 1);
+        if scenario == Scenario::MailRace {
+            assert!(
+                serial.first_failure().is_some(),
+                "{strategy}: the seeded mail race must be found"
+            );
+        }
+        for workers in [2, 8, 0] {
+            let parallel = run(workers);
+            assert!(parallel.threads >= 1, "auto selection must resolve to >= 1");
+            assert_eq!(
+                serial.render_json(),
+                parallel.render_json(),
+                "{} {strategy} campaign report diverged at threads({workers})",
+                scenario.name(),
+            );
+            assert_eq!(
+                serial.corpus_digest,
+                parallel.corpus_digest,
+                "{} {strategy} corpus digest diverged at threads({workers})",
+                scenario.name(),
+            );
         }
     }
-}
-
-/// `threads(0)` resolves automatically (env var or host parallelism) and
-/// the resolved count is reported — and still changes nothing observable.
-#[test]
-fn automatic_thread_selection_reports_and_matches_serial() {
-    let auto = campaign(Scenario::UdpCrossTraffic, FaultSpec::none(), 0);
-    assert!(auto.threads >= 1, "auto selection must resolve to >= 1");
-    let serial = campaign(Scenario::UdpCrossTraffic, FaultSpec::none(), 1);
-    assert_eq!(observables(&serial), observables(&auto));
 }
 
 /// Eight workers forking one shared frozen image leave the image bit-

@@ -24,13 +24,14 @@ const SEEDS: [u64; 2] = [2014, 4202];
 fn forked_runs_match_booted_runs_byte_for_byte() {
     let snap = Scenario::boot_snapshot();
     for scenario in Scenario::ALL {
+        let compiled = scenario.compile();
         for seed in SEEDS {
             let spec = FaultSpec {
                 seed,
                 ..FaultSpec::none()
             };
-            let booted = scenario.run_with(&spec, None, RunOptions::full());
-            let forked = scenario.run_forked(&snap, &spec, None, RunOptions::full());
+            let booted = compiled.run_with(&spec, None, RunOptions::full());
+            let forked = compiled.run_forked(&snap, &spec, None, RunOptions::full());
             assert_eq!(
                 booted.report_json,
                 forked.report_json,
@@ -68,8 +69,9 @@ fn forked_faulted_runs_match_booted_runs() {
             dma_partial: 0.05,
         };
         for scenario in [Scenario::UdpCrossTraffic, Scenario::DmaFanout] {
-            let booted = scenario.run_with(&spec, None, RunOptions::full());
-            let forked = scenario.run_forked(&snap, &spec, None, RunOptions::full());
+            let compiled = scenario.compile();
+            let booted = compiled.run_with(&spec, None, RunOptions::full());
+            let forked = compiled.run_forked(&snap, &spec, None, RunOptions::full());
             assert_eq!(
                 booted.report_json,
                 forked.report_json,
@@ -89,12 +91,13 @@ fn forked_runs_match_under_schedule_choosers() {
     let snap = Scenario::boot_snapshot();
     for scenario in [Scenario::MailRace, Scenario::Ext2Churn] {
         let spec = FaultSpec::none();
-        let booted = scenario.run_with(
+        let compiled = scenario.compile();
+        let booted = compiled.run_with(
             &spec,
             Some(chooser_of(Box::new(RandomWalk::new(2014, 7)))),
             RunOptions::full(),
         );
-        let forked = scenario.run_forked(
+        let forked = compiled.run_forked(
             &snap,
             &spec,
             Some(chooser_of(Box::new(RandomWalk::new(2014, 7)))),
@@ -124,10 +127,11 @@ fn sibling_forks_replaying_one_token_are_identical() {
         Box::new(RandomWalk::new(2014, 3)),
     );
     let token = schedule.token();
+    let compiled = Scenario::MailRace.compile();
     let reports: Vec<String> = (0..4)
         .map(|_| {
             let parsed: Schedule = token.parse().expect("token round-trips");
-            Scenario::MailRace
+            compiled
                 .run_forked(
                     &snap,
                     &FaultSpec::none(),
@@ -154,8 +158,9 @@ fn sibling_forks_replaying_one_token_are_identical() {
 fn fork_outcomes_are_order_independent() {
     let snap = Scenario::boot_snapshot();
     let spec = FaultSpec::none();
+    let compiled = Scenario::MailRace.compile();
     let run = |stream: u64| {
-        Scenario::MailRace
+        compiled
             .run_forked(
                 &snap,
                 &spec,
@@ -190,18 +195,19 @@ fn planted_race_repro_token_replays_from_snapshot() {
 
     let snap = Scenario::boot_snapshot();
     let spec = FaultSpec::none();
-    let baseline = Scenario::MailRace.run_forked(
+    let compiled = Scenario::MailRace.compile();
+    let baseline = compiled.run_forked(
         &snap,
         &spec,
         Some(chooser_of(Box::new(Baseline))),
         RunOptions::full(),
     );
-    let booted = Scenario::MailRace.run_with(
+    let booted = compiled.run_with(
         &spec,
         Some(chooser_of(Box::new(Replay::new(&parsed)))),
         RunOptions::full(),
     );
-    let forked = Scenario::MailRace.run_forked(
+    let forked = compiled.run_forked(
         &snap,
         &spec,
         Some(chooser_of(Box::new(Replay::new(&parsed)))),

@@ -6,7 +6,9 @@ use k2_check::{FaultSpec, RunOptions, Scenario};
 use k2_sim::json::Json;
 
 fn traced_run() -> k2_check::RunOutcome {
-    Scenario::UdpCrossTraffic.run_with(&FaultSpec::none(), None, RunOptions::traced())
+    Scenario::UdpCrossTraffic
+        .compile()
+        .run_with(&FaultSpec::none(), None, RunOptions::traced())
 }
 
 #[test]
@@ -57,7 +59,10 @@ fn check_events(events: &[Json]) -> (u64, u64) {
 
 #[test]
 fn dma_fanout_exports_its_span_chains_as_complete_events() {
-    let outcome = Scenario::DmaFanout.run_with(&FaultSpec::none(), None, RunOptions::traced());
+    let outcome =
+        Scenario::DmaFanout
+            .compile()
+            .run_with(&FaultSpec::none(), None, RunOptions::traced());
     let trace = outcome.chrome_trace.unwrap();
     let doc = Json::parse(&trace).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
@@ -85,7 +90,10 @@ fn dma_fanout_exports_its_span_chains_as_complete_events() {
 #[test]
 fn span_args_export_and_round_trip() {
     // DMA transfers record their size.
-    let outcome = Scenario::DmaFanout.run_with(&FaultSpec::none(), None, RunOptions::traced());
+    let outcome =
+        Scenario::DmaFanout
+            .compile()
+            .run_with(&FaultSpec::none(), None, RunOptions::traced());
     let trace = outcome.chrome_trace.unwrap();
     let doc = Json::parse(&trace).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
@@ -114,7 +122,9 @@ fn span_args_export_and_round_trip() {
         dma_fail: 0.0,
         dma_partial: 0.0,
     };
-    let outcome = Scenario::UdpCrossTraffic.run_with(&spec, None, RunOptions::traced());
+    let outcome = Scenario::UdpCrossTraffic
+        .compile()
+        .run_with(&spec, None, RunOptions::traced());
     let trace = outcome.chrome_trace.unwrap();
     let doc = Json::parse(&trace).unwrap();
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
