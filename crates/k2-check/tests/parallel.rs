@@ -5,7 +5,9 @@
 //! `CampaignReport::threads` and wall-clock time. These tests run the
 //! same campaigns with 1, 2 and 8 workers and with automatic selection,
 //! and require the rendered report — every coverage counter and the
-//! repro token of every failure — to be identical.
+//! repro token of every failure — to be identical. Random campaigns
+//! cover all four scenarios; PCT and coverage-guided campaigns cover the
+//! planted race and one well-behaved scenario.
 //!
 //! Every campaign run is a *fork* of one coordinator-frozen post-boot
 //! snapshot rather than a fresh boot, so these tests pin the invariance
@@ -13,60 +15,112 @@
 //! additionally pin that worker forks never leak state back into the
 //! shared frozen image.
 
-use k2_check::{Campaign, FaultSpec, Scenario, Strategy};
+use k2_check::{Campaign, CampaignReport, FaultSpec, Scenario, Strategy};
 
 const SEED: u64 = 0xD1CE;
 const BUDGET: u32 = 24;
 
-/// All four scenarios under the random strategy, and the planted race
-/// plus one well-behaved scenario under PCT and coverage guidance: the
-/// rendered campaign report and the corpus digest are byte-identical
-/// under 1, 2 and 8 workers and under `threads(0)`, which resolves
-/// automatically (env var or host parallelism) and reports what it
-/// chose. For the planted mail race that includes the first failure's
-/// run index and repro token. This is the property the
-/// generation-planned design exists to provide — all adaptation happens
-/// on the coordinator against merged state, so workers can only change
-/// wall-clock time.
+/// A random campaign over `scenario` with `threads` workers. Its walks
+/// are the seeded streams the oracle tests in `explore.rs` use.
+fn random(scenario: Scenario, threads: usize) -> CampaignReport {
+    Campaign::new(scenario, Strategy::Random, SEED)
+        .budget(BUDGET * 2)
+        .threads(threads)
+        .run()
+}
+
+/// Random campaigns over every scenario are byte-identical under 1, 2
+/// and 8 workers: the rendered report, which spans every coverage
+/// counter and failure token, and the corpus digest.
 #[test]
-fn campaign_reports_and_corpus_digests_are_worker_count_invariant() {
-    let guided = [Strategy::Pct, Strategy::CoverageGuided]
-        .into_iter()
-        .flat_map(|st| [(st, Scenario::MailRace), (st, Scenario::DmaFanout)]);
-    let cases = Scenario::ALL
-        .map(|s| (Strategy::Random, s))
-        .into_iter()
-        .chain(guided);
-    for (strategy, scenario) in cases {
-        let run = |threads| {
-            Campaign::new(scenario, strategy, SEED)
-                .budget(BUDGET * 2)
-                .threads(threads)
-                .run()
-        };
-        let serial = run(1);
+fn exploration_is_thread_count_invariant() {
+    for scenario in Scenario::ALL {
+        let serial = random(scenario, 1);
         assert_eq!(serial.threads, 1);
-        if scenario == Scenario::MailRace {
-            assert!(
-                serial.first_failure().is_some(),
-                "{strategy}: the seeded mail race must be found"
-            );
-        }
-        for workers in [2, 8, 0] {
-            let parallel = run(workers);
-            assert!(parallel.threads >= 1, "auto selection must resolve to >= 1");
+        for workers in [2, 8] {
+            let parallel = random(scenario, workers);
             assert_eq!(
                 serial.render_json(),
                 parallel.render_json(),
-                "{} {strategy} campaign report diverged at threads({workers})",
-                scenario.name(),
+                "{} diverged at {workers} workers",
+                scenario.name()
             );
             assert_eq!(
                 serial.corpus_digest,
                 parallel.corpus_digest,
-                "{} {strategy} corpus digest diverged at threads({workers})",
-                scenario.name(),
+                "{} corpus digest diverged at {workers} workers",
+                scenario.name()
             );
+        }
+    }
+}
+
+/// The seeded mailbox race is found — at the same run, with the same
+/// first failure and the same repro trace token — no matter how many
+/// workers hunt for it.
+#[test]
+fn first_failure_selection_is_deterministic_across_workers() {
+    let serial = random(Scenario::MailRace, 1);
+    let first = serial
+        .first_failure()
+        .expect("the seeded mail race must be found");
+    for workers in [2, 8] {
+        let parallel = random(Scenario::MailRace, workers);
+        let pfirst = parallel
+            .first_failure()
+            .expect("parallel campaign must find the race too");
+        assert_eq!(serial.first_failure_run, parallel.first_failure_run);
+        assert_eq!(first.schedule.token(), pfirst.schedule.token());
+        assert_eq!(first.kind, pfirst.kind);
+        assert_eq!(first.policy, pfirst.policy);
+        assert_eq!(first.detail, pfirst.detail);
+    }
+}
+
+/// `threads(0)` resolves automatically (env var or host parallelism) and
+/// the resolved count is reported — and still changes nothing observable.
+#[test]
+fn automatic_thread_selection_reports_and_matches_serial() {
+    let auto = random(Scenario::UdpCrossTraffic, 0);
+    assert!(auto.threads >= 1, "auto selection must resolve to >= 1");
+    let serial = random(Scenario::UdpCrossTraffic, 1);
+    assert_eq!(serial.render_json(), auto.render_json());
+    assert_eq!(serial.corpus_digest, auto.corpus_digest);
+}
+
+/// Coverage-guided and PCT campaigns extend the invariance contract to
+/// the feedback loop: the rendered campaign report and the corpus digest
+/// are byte-identical under 1, 2 and 8 workers and under `threads(0)`.
+/// This is the property the generation-planned design exists to provide
+/// — all adaptation happens on the coordinator against merged state, so
+/// workers can only change wall-clock time.
+#[test]
+fn campaign_reports_and_corpus_digests_are_worker_count_invariant() {
+    for strategy in [Strategy::Pct, Strategy::CoverageGuided] {
+        for scenario in [Scenario::MailRace, Scenario::DmaFanout] {
+            let run = |threads| {
+                Campaign::new(scenario, strategy, SEED)
+                    .budget(BUDGET * 2)
+                    .threads(threads)
+                    .run()
+            };
+            let serial = run(1);
+            for workers in [2, 8, 0] {
+                let parallel = run(workers);
+                assert!(parallel.threads >= 1, "auto selection must resolve to >= 1");
+                assert_eq!(
+                    serial.render_json(),
+                    parallel.render_json(),
+                    "{} {strategy} campaign report diverged at threads({workers})",
+                    scenario.name(),
+                );
+                assert_eq!(
+                    serial.corpus_digest,
+                    parallel.corpus_digest,
+                    "{} {strategy} corpus digest diverged at threads({workers})",
+                    scenario.name(),
+                );
+            }
         }
     }
 }

@@ -1,100 +1,41 @@
-//! The DSL migration gate: each migrated `scenarios/*.k2.md` file must
-//! produce a profile report **byte-identical** to the hand-written Rust
-//! scenario it replaced, across the CI seeds and at least one fault
-//! preset. This is what lets the declarative files *be* the scenarios:
-//! any drift between the table in the file and the driver in
-//! `k2-check/src/scenario.rs` fails here, not silently.
+//! Forked and booted runs of the `scenarios/*.k2.md` grid files are
+//! equivalent under the files' own fault presets. The conformance matrix
+//! forks one frozen image per cell, so every preset a file declares, on
+//! every CI seed, must give a fork byte-identical to a fresh boot of the
+//! same cell. Fault-free forks are pinned in
+//! `crates/k2-check/tests/snapshot.rs`.
 
 use k2_check::dsl::builtin;
 use k2_check::matrix::CI_SEEDS;
-use k2_check::{FaultSpec, RunOptions, Scenario};
-
-/// The migrated pairs: builtin file name ↔ hand-written variant.
-const PAIRS: [(&str, Scenario); 4] = [
-    ("udp-cross-traffic", Scenario::UdpCrossTraffic),
-    ("ext2-churn", Scenario::Ext2Churn),
-    ("dma-fanout", Scenario::DmaFanout),
-    ("mail-race", Scenario::MailRace),
-];
-
-fn assert_identical(name: &str, scenario: Scenario, spec: &FaultSpec, what: &str) {
-    let compiled = builtin::load(name).compile().unwrap();
-    let dsl = compiled.run_with(spec, None, RunOptions::full());
-    let hand = scenario.run_with(spec, None, RunOptions::full());
-    assert_eq!(
-        dsl.report_json, hand.report_json,
-        "{name} ({what}): DSL report diverged from the hand-written scenario"
-    );
-    assert_eq!(
-        dsl.end_state.entries(),
-        hand.end_state.entries(),
-        "{name} ({what}): end state diverged"
-    );
-    assert_eq!(
-        dsl.events, hand.events,
-        "{name} ({what}): event count diverged"
-    );
-    assert_eq!(
-        dsl.choice_points, hand.choice_points,
-        "{name} ({what}): choice points diverged"
-    );
-}
-
-#[test]
-fn migrated_scenarios_are_byte_identical_fault_free() {
-    for seed in CI_SEEDS {
-        for (name, scenario) in PAIRS {
-            let spec = FaultSpec {
-                seed,
-                ..FaultSpec::none()
-            };
-            assert_identical(name, scenario, &spec, &format!("seed {seed}, no faults"));
-        }
-    }
-}
-
-#[test]
-fn migrated_scenarios_are_byte_identical_under_fault_presets() {
-    for seed in CI_SEEDS {
-        for (name, scenario) in PAIRS {
-            let def = builtin::load(name);
-            let presets = def.preset_names();
-            assert!(
-                presets.len() > 1,
-                "{name}: migrated files must declare at least one fault preset"
-            );
-            for preset in presets.iter().filter(|p| *p != "none") {
-                let spec = def.fault_spec(preset, seed).unwrap();
-                assert!(!spec.is_nop(), "{name}: preset `{preset}` is empty");
-                assert_identical(
-                    name,
-                    scenario,
-                    &spec,
-                    &format!("seed {seed}, preset {preset}"),
-                );
-            }
-        }
-    }
-}
+use k2_check::{RunOptions, Scenario};
 
 #[test]
 fn forked_dsl_runs_match_booted_dsl_runs() {
-    // The matrix forks one frozen image per cell; a fork must be
-    // byte-identical to a fresh boot of the same cell.
     let snap = Scenario::boot_snapshot();
-    for (name, _) in PAIRS {
-        let compiled = builtin::load(name).compile().unwrap();
-        let spec = FaultSpec {
-            seed: CI_SEEDS[0],
-            ..FaultSpec::none()
-        };
-        let booted = compiled.run_with(&spec, None, RunOptions::full());
-        let forked = compiled.run_forked(&snap, &spec, None, RunOptions::full());
-        assert_eq!(booted.report_json, forked.report_json, "{name}");
-        assert_eq!(
-            booted.end_state.entries(),
-            forked.end_state.entries(),
-            "{name}"
+    for name in builtin::GRID {
+        let def = builtin::load(name);
+        let compiled = def.compile().unwrap();
+        let presets = def.preset_names();
+        assert!(
+            presets.len() > 1,
+            "{name}: grid files must declare at least one fault preset"
         );
+        for preset in presets.iter().filter(|p| *p != "none") {
+            for seed in CI_SEEDS {
+                let spec = def.fault_spec(preset, seed).unwrap();
+                assert!(!spec.is_nop(), "{name}: preset `{preset}` is empty");
+                let booted = compiled.run_with(&spec, None, RunOptions::full());
+                let forked = compiled.run_forked(&snap, &spec, None, RunOptions::full());
+                let cell = format!("{name} preset {preset} seed {seed}");
+                assert_eq!(booted.report_json, forked.report_json, "{cell}");
+                assert_eq!(
+                    booted.end_state.entries(),
+                    forked.end_state.entries(),
+                    "{cell}"
+                );
+                assert_eq!(booted.events, forked.events, "{cell}");
+                assert_eq!(booted.choice_points, forked.choice_points, "{cell}");
+            }
+        }
     }
 }
