@@ -5,7 +5,7 @@
 //! schedules, distinct end states, failures) to stdout. With `--out`,
 //! additionally streams every campaign report as JSON — one object per
 //! line — straight to the file through
-//! [`IoAdapter`](k2_sim::json::IoAdapter), never staging the document in
+//! [`IoAdapter`], never staging the document in
 //! memory.
 //!
 //! ```text

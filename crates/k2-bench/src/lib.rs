@@ -147,7 +147,7 @@ pub fn table5_dsm() -> String {
 /// Table 6: concurrent DMA throughput with the shadowed driver.
 ///
 /// Parameterized by `scenarios/table6-shared-driver.k2.md` (the batch
-/// list there mirrors [`table6_batches`]).
+/// list there mirrors [`k2_workloads::harness::table6_batches`]).
 pub fn table6_shared_driver() -> String {
     conformance::eval_builtin("table6-shared-driver").text
 }

@@ -526,12 +526,11 @@ impl CampaignReport {
 /// A campaign answers "does any schedule break an oracle" and measures
 /// *how much of the schedule space* a strategy covers per run of budget
 /// — the metric the coverage-guided loop is built to move. Runs execute
-/// in planning generations of
-/// [`GENERATION`]: the coordinator derives every plan in a generation
-/// from the corpus frozen at its start (mutation happens here, not on
-/// workers), fans the runs out under the shared index-claiming
-/// discipline, and merges results in strict index order. Reports are
-/// byte-identical for any `K2CHECK_THREADS`.
+/// in fixed-size planning generations: the coordinator derives every
+/// plan in a generation from the corpus frozen at its start (mutation
+/// happens here, not on workers), fans the runs out under the shared
+/// index-claiming discipline, and merges results in strict index order.
+/// Reports are byte-identical for any `K2CHECK_THREADS`.
 pub struct Campaign {
     scenario: Scenario,
     strategy: Strategy,

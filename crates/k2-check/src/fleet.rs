@@ -15,7 +15,8 @@
 //!   tables; perfbench's `fork.us` and `snapshot.freeze_ms` track both
 //!   sides today).
 //! * **Shards are contiguous, workers own them.** Machines are `!Send`
-//!   (tasks hold `Rc` report handles), so each worker thread forks and
+//!   (their boxed tasks, interrupt hooks and schedule chooser carry no
+//!   `Send` bound), so each worker thread forks and
 //!   owns a contiguous chunk of machine indices for the whole run.
 //!   Concatenating shard outputs in shard order therefore *is* the
 //!   global machine-index order — the same strict ordered-merge trick

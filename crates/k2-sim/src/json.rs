@@ -178,7 +178,7 @@ impl Json {
 /// values written directly inside an array (or at the top level) stand
 /// alone. Commas, newlines and indentation are inserted automatically.
 ///
-/// The writer is generic over any [`fmt::Write`](std::fmt::Write) target
+/// The writer is generic over any [`fmt::Write`] target
 /// (default: `String`, which never fails), so the same streaming code
 /// renders into memory, a formatter, or — through [`IoAdapter`] — a file
 /// or socket. Write errors never panic mid-document: they are swallowed
@@ -417,7 +417,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     }
 }
 
-/// Bridges a [`fmt::Write`](std::fmt::Write)-consuming renderer (the
+/// Bridges a [`fmt::Write`]-consuming renderer (the
 /// [`JsonWriter`], the Chrome trace exporter) onto any
 /// [`io::Write`](std::io::Write) target, so multi-megabyte reports and
 /// traces stream straight to a file instead of staging in a `String`.

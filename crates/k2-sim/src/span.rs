@@ -12,8 +12,8 @@
 //! Span IDs are allocated sequentially from the tracker — no randomness,
 //! no wall clock — so the same seeded run always produces the same tree
 //! (DESIGN.md §5.5). *Storage* is delegated to a pluggable
-//! [`TraceSink`](crate::sink::TraceSink): the default
-//! [`FullSink`](crate::sink::FullSink) bounds retention like
+//! [`TraceSink`]: the default
+//! [`FullSink`] bounds retention like
 //! [`crate::trace::Trace`] (past the capacity new spans are counted but
 //! not retained, so soaks cannot OOM), a ring sink keeps a recency
 //! window, and the disabled sink short-circuits the tracker entirely —

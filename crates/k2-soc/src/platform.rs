@@ -31,7 +31,7 @@ use k2_sim::sink::SinkMode;
 use k2_sim::span::{SpanArgs, SpanId, SpanTracker};
 use k2_sim::time::{SimDuration, SimTime};
 use k2_sim::trace::{Trace, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// What a [`Task`] asks the machine to do next.
@@ -132,9 +132,7 @@ pub type WorldCheck<W> = Box<dyn Fn(&W) -> Result<(), String>>;
 /// into [`HotIds::active`]; the strings are the public metric tags.
 const SUBSYSTEMS: [&str; 5] = ["task", "irq", "wake", "remote", "stall"];
 
-/// Maps an attribution subsystem name to its [`SUBSYSTEMS`] slot.
-/// Report-stable name of a [`PowerState`] (shared by the tree and
-/// streaming report renderers — the bytes must agree).
+/// Report-stable name of a [`PowerState`] in profile reports.
 fn state_name(s: PowerState) -> &'static str {
     match s {
         PowerState::Active => "active",
@@ -143,6 +141,7 @@ fn state_name(s: PowerState) -> &'static str {
     }
 }
 
+/// Maps an attribution subsystem name to its [`SUBSYSTEMS`] slot.
 fn sub_slot(subsystem: &'static str) -> usize {
     SUBSYSTEMS
         .iter()
@@ -274,61 +273,73 @@ struct CoreRt {
 }
 
 /// The SoC-wide discrete-event machine. See the module docs.
+///
+/// A machine is its data state, one plain `Clone` struct that snapshots
+/// copy whole, plus code the world layer installs: task bodies, interrupt
+/// hooks, power observers, world checks, deferred calls and the schedule
+/// chooser.
 pub struct Machine<W> {
+    state: MachineState,
+    tasks: Vec<Option<TaskSlot<W>>>,
+    hooks: BTreeMap<(DomainId, IrqId), Option<IrqHook<W>>>,
+    power_observers: Vec<PowerObserver<W>>,
+    live_tasks: u64,
+    world_checks: Vec<(&'static str, WorldCheck<W>)>,
+    deferred: BTreeMap<u64, DeferredCall<W>>,
+    schedule_chooser: Option<ScheduleChooser>,
+    /// Reused across choice points so classifying a co-enabled set for the
+    /// chooser allocates nothing in steady state.
+    scratch_classes: Vec<EventClass>,
+}
+
+/// Every data field of a [`Machine`]: what [`Machine::snapshot`] and
+/// [`Machine::fork`] clone whole and what [`MachineState::digest`] folds.
+/// The maps are ordered, so the fold walks them in key order.
+#[derive(Clone)]
+struct MachineState {
     now: SimTime,
     queue: EventQueue<Event>,
     cores: Vec<CoreRt>,
     domains: Vec<Vec<CoreId>>,
-    /// Shared RAM, directly accessible to tasks and kernel code.
-    pub ram: SharedRam,
+    ram: SharedRam,
     mailboxes: MailboxBank,
     hwlocks: HwSpinlockBank,
     irq_fabric: IrqFabric,
     dma: DmaEngine,
     dma_pending: Vec<crate::dma::DmaCompletion>,
-    tasks: Vec<Option<TaskSlot<W>>>,
-    waiters: HashMap<(DomainId, IrqId), Vec<TaskId>>,
-    hooks: HashMap<(DomainId, IrqId), Option<IrqHook<W>>>,
-    power_observers: Vec<PowerObserver<W>>,
-    live_tasks: u64,
+    /// Tasks parked on each `(domain, irq)` line, in park order.
+    waiters: BTreeMap<(DomainId, IrqId), Vec<TaskId>>,
     completed_tasks: u64,
     trace: Trace,
-    trace_stderr: bool,
     fault_plan: Option<FaultPlan>,
     auditor: InvariantAuditor,
-    world_checks: Vec<(&'static str, WorldCheck<W>)>,
-    deferred: HashMap<u64, DeferredCall<W>>,
     next_call_id: u64,
     metrics: Registry,
     spans: SpanTracker,
-    /// Submit time and flight span of each in-progress DMA transfer
-    /// (keyed removal only, so the HashMap cannot leak iteration order).
-    dma_inflight: HashMap<DmaXferId, (SpanId, SimTime)>,
-    schedule_chooser: Option<ScheduleChooser>,
+    /// Flight span and submit time of each in-progress DMA transfer.
+    dma_inflight: BTreeMap<DmaXferId, (SpanId, SimTime)>,
     choice_points: u64,
     hot_ids: HotIds,
-    /// Reused across choice points so classifying a co-enabled set for the
-    /// chooser allocates nothing in steady state.
-    scratch_classes: Vec<EventClass>,
     events_processed: u64,
 }
 
 impl<W> fmt::Debug for Machine<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
-            .field("now", &self.now)
-            .field("cores", &self.cores.len())
+            .field("now", &self.state.now)
+            .field("cores", &self.state.cores.len())
             .field("live_tasks", &self.live_tasks)
             .finish()
     }
 }
 
-/// A frozen, structurally cloned copy of a machine's complete *data*
-/// state — clock, event queue, cores and energy meters, RAM pages,
-/// mailbox FIFOs, hardware spinlocks, interrupt fabric, DMA engine,
-/// fault-plan RNG, event trace, auditor, metrics registry, span tracker
-/// and every counter — taken with [`Machine::snapshot`] and rehydrated
-/// with [`Machine::fork`].
+/// A frozen copy of a machine's complete *data* state — clock, event
+/// queue, cores and energy meters, RAM pages, mailbox FIFOs, hardware
+/// spinlocks, interrupt fabric, DMA engine, fault-plan RNG, event trace,
+/// auditor, metrics registry, span tracker, hot metric-id cache and every
+/// counter — taken with [`Machine::snapshot`] and rehydrated with
+/// [`Machine::fork`]. It is the machine's one data struct, cloned whole,
+/// plus the length of its task-slot table.
 ///
 /// What a snapshot deliberately does *not* capture is code: task bodies
 /// (`Box<dyn Task>`), interrupt hooks, power observers, invariant
@@ -345,41 +356,19 @@ impl<W> fmt::Debug for Machine<W> {
 /// coordinator and fork from it on any number of worker threads.
 #[derive(Clone)]
 pub struct MachineSnapshot {
-    now: SimTime,
-    queue: EventQueue<Event>,
-    cores: Vec<CoreRt>,
-    domains: Vec<Vec<CoreId>>,
-    ram: SharedRam,
-    mailboxes: MailboxBank,
-    hwlocks: HwSpinlockBank,
-    irq_fabric: IrqFabric,
-    dma: DmaEngine,
-    dma_pending: Vec<crate::dma::DmaCompletion>,
+    state: MachineState,
     /// Length of the task-slot table (every slot is vacant — see the
     /// quiescence requirement), so forked machines keep allocating
     /// [`TaskId`]s from the same watermark.
     task_slots: usize,
-    waiters: HashMap<(DomainId, IrqId), Vec<TaskId>>,
-    completed_tasks: u64,
-    trace: Trace,
-    trace_stderr: bool,
-    fault_plan: Option<FaultPlan>,
-    auditor: InvariantAuditor,
-    next_call_id: u64,
-    metrics: Registry,
-    spans: SpanTracker,
-    dma_inflight: HashMap<DmaXferId, (SpanId, SimTime)>,
-    choice_points: u64,
-    hot_ids: HotIds,
-    events_processed: u64,
 }
 
 impl fmt::Debug for MachineSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MachineSnapshot")
-            .field("now", &self.now)
-            .field("cores", &self.cores.len())
-            .field("queued_events", &self.queue.len())
+            .field("now", &self.state.now)
+            .field("cores", &self.state.cores.len())
+            .field("queued_events", &self.state.queue.len())
             .field("digest", &format_args!("{:#018x}", self.digest()))
             .finish()
     }
@@ -388,74 +377,15 @@ impl fmt::Debug for MachineSnapshot {
 impl MachineSnapshot {
     /// The frozen clock value.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// 64-bit FNV-1a digest over the frozen state — the cheap identity
     /// check: equal digests mean (collisions aside) structurally equal
     /// machines that will evolve identically under identical inputs.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        digest_machine_state(
-            &mut h,
-            StateView {
-                now: self.now,
-                queue: &self.queue,
-                cores: &self.cores,
-                domains: &self.domains,
-                ram: &self.ram,
-                mailboxes: &self.mailboxes,
-                hwlocks: &self.hwlocks,
-                irq_fabric: &self.irq_fabric,
-                dma: &self.dma,
-                dma_pending: &self.dma_pending,
-                task_slots: self.task_slots,
-                waiters: &self.waiters,
-                completed_tasks: self.completed_tasks,
-                trace: &self.trace,
-                trace_stderr: self.trace_stderr,
-                fault_plan: self.fault_plan.as_ref(),
-                auditor: &self.auditor,
-                next_call_id: self.next_call_id,
-                metrics: &self.metrics,
-                spans: &self.spans,
-                dma_inflight: &self.dma_inflight,
-                choice_points: self.choice_points,
-                events_processed: self.events_processed,
-            },
-            true,
-        );
-        h.finish()
+        self.state.digest(self.task_slots, true)
     }
-}
-
-/// Borrowed view of the machine state both [`Machine::state_digest`] and
-/// [`MachineSnapshot::digest`] fold — one folding routine, so a live
-/// machine and its snapshot agree on the digest by construction.
-struct StateView<'a> {
-    now: SimTime,
-    queue: &'a EventQueue<Event>,
-    cores: &'a [CoreRt],
-    domains: &'a [Vec<CoreId>],
-    ram: &'a SharedRam,
-    mailboxes: &'a MailboxBank,
-    hwlocks: &'a HwSpinlockBank,
-    irq_fabric: &'a IrqFabric,
-    dma: &'a DmaEngine,
-    dma_pending: &'a [crate::dma::DmaCompletion],
-    task_slots: usize,
-    waiters: &'a HashMap<(DomainId, IrqId), Vec<TaskId>>,
-    completed_tasks: u64,
-    trace: &'a Trace,
-    trace_stderr: bool,
-    fault_plan: Option<&'a FaultPlan>,
-    auditor: &'a InvariantAuditor,
-    next_call_id: u64,
-    metrics: &'a Registry,
-    spans: &'a SpanTracker,
-    dma_inflight: &'a HashMap<DmaXferId, (SpanId, SimTime)>,
-    choice_points: u64,
-    events_processed: u64,
 }
 
 /// Folds one queued event (with its firing time and sequence number).
@@ -502,109 +432,113 @@ fn fold_event(h: &mut Fnv64, at: SimTime, seq: u64, ev: &Event, observability: b
     }
 }
 
-/// The one folding routine behind both digest entry points.
-///
-/// `observability: true` (the full digest) folds everything, span
-/// tracker included. `observability: false` folds only *simulation*
-/// state — span ids and sink contents are left out, so two machines
-/// that differ solely in how they are being observed (disabled vs ring
-/// vs full sink) digest identically. The fleet pins this sim digest:
-/// equal across sink modes is the proof that observation never
-/// perturbs simulated time.
-fn digest_machine_state(h: &mut Fnv64, v: StateView<'_>, observability: bool) {
-    h.u64(v.now.as_ns());
-    // Event queue: every live event in deterministic (time, seq) order.
-    h.usize(v.queue.len());
-    v.queue
-        .for_each_live_ordered(|at, seq, ev| fold_event(h, at, seq, ev, observability));
-    // Cores and their energy meters.
-    h.usize(v.cores.len());
-    for c in v.cores {
-        h.bytes(&[c.desc.id.0, c.desc.domain.0])
-            .u32(match c.desc.kind {
-                CoreKind::CortexA9 => 0,
-                CoreKind::CortexM3 => 1,
+impl MachineState {
+    /// The one digest fold behind [`Machine::state_digest`],
+    /// [`Machine::sim_digest`] and [`MachineSnapshot::digest`], so a live
+    /// machine and its snapshot agree by construction. `task_slots` is
+    /// the length of the task-slot table kept beside the state.
+    ///
+    /// `observability: true` (the full digest) folds everything, span
+    /// tracker included. `observability: false` folds only *simulation*
+    /// state — span ids and sink contents are left out, so two machines
+    /// that differ solely in how they are being observed (disabled vs ring
+    /// vs full sink) digest identically. The fleet pins this sim digest:
+    /// equal across sink modes is the proof that observation never
+    /// perturbs simulated time.
+    fn digest(&self, task_slots: usize, observability: bool) -> u64 {
+        let mut h = Fnv64::new();
+        let h = &mut h;
+        h.u64(self.now.as_ns());
+        // Event queue: every live event in deterministic (time, seq) order.
+        h.usize(self.queue.len());
+        self.queue
+            .for_each_live_ordered(|at, seq, ev| fold_event(h, at, seq, ev, observability));
+        // Cores and their energy meters.
+        h.usize(self.cores.len());
+        for c in &self.cores {
+            h.bytes(&[c.desc.id.0, c.desc.domain.0])
+                .u32(match c.desc.kind {
+                    CoreKind::CortexA9 => 0,
+                    CoreKind::CortexM3 => 1,
+                })
+                .u64(c.desc.freq_hz);
+            c.meter.digest_into(h);
+            h.u32(match c.mode {
+                CoreMode::Busy => 0,
+                CoreMode::Idle => 1,
+                CoreMode::Inactive => 2,
             })
-            .u64(c.desc.freq_hz);
-        c.meter.digest_into(h);
-        h.u32(match c.mode {
-            CoreMode::Busy => 0,
-            CoreMode::Idle => 1,
-            CoreMode::Inactive => 2,
-        })
-        .u64(c.running.map_or(u64::MAX, |t| t.0 as u64))
-        .usize(c.rq.len());
-        for t in &c.rq {
-            h.u32(t.0);
+            .u64(c.running.map_or(u64::MAX, |t| t.0 as u64))
+            .usize(c.rq.len());
+            for t in &c.rq {
+                h.u32(t.0);
+            }
+            h.u64(c.epoch)
+                .u64(c.extra.as_ns())
+                .bool(c.woke_for_service)
+                .u64(c.task_activity_at.as_ns());
         }
-        h.u64(c.epoch)
-            .u64(c.extra.as_ns())
-            .bool(c.woke_for_service)
-            .u64(c.task_activity_at.as_ns());
-    }
-    h.usize(v.domains.len());
-    for d in v.domains {
-        h.usize(d.len());
-        for c in d {
-            h.bytes(&[c.0]);
+        h.usize(self.domains.len());
+        for d in &self.domains {
+            h.usize(d.len());
+            for c in d {
+                h.bytes(&[c.0]);
+            }
         }
-    }
-    v.ram.digest_into(h);
-    v.mailboxes.digest_into(h);
-    v.hwlocks.digest_into(h);
-    v.irq_fabric.digest_into(h);
-    v.dma.digest_into(h);
-    h.usize(v.dma_pending.len());
-    for c in v.dma_pending {
-        h.u64(c.id.0).u64(c.src.0).u64(c.dst.0).u64(c.len);
-        match c.status {
-            crate::dma::DmaStatus::Ok => {
+        self.ram.digest_into(h);
+        self.mailboxes.digest_into(h);
+        self.hwlocks.digest_into(h);
+        self.irq_fabric.digest_into(h);
+        self.dma.digest_into(h);
+        h.usize(self.dma_pending.len());
+        for c in &self.dma_pending {
+            h.u64(c.id.0).u64(c.src.0).u64(c.dst.0).u64(c.len);
+            match c.status {
+                DmaStatus::Ok => {
+                    h.bool(true);
+                }
+                DmaStatus::Error { bytes_copied } => {
+                    h.bool(false).u64(bytes_copied);
+                }
+            }
+        }
+        h.usize(task_slots).u64(self.completed_tasks);
+        h.usize(self.waiters.len());
+        for (&(d, i), tasks) in &self.waiters {
+            h.bytes(&[d.0]).u32(i.0 as u32).usize(tasks.len());
+            for t in tasks {
+                h.u32(t.0);
+            }
+        }
+        self.trace.digest_into(h);
+        // Slot of a removed always-false debug flag, kept so pinned digests hold.
+        h.bool(false);
+        match &self.fault_plan {
+            None => {
+                h.bool(false);
+            }
+            Some(p) => {
                 h.bool(true);
-            }
-            crate::dma::DmaStatus::Error { bytes_copied } => {
-                h.bool(false).u64(bytes_copied);
+                p.digest_into(h);
             }
         }
-    }
-    h.usize(v.task_slots).u64(v.completed_tasks);
-    // IRQ waiters, key-sorted (HashMap iteration order must not leak in).
-    let mut waits: Vec<(&(DomainId, IrqId), &Vec<TaskId>)> = v.waiters.iter().collect();
-    waits.sort_unstable_by_key(|&(&(d, i), _)| (d.0, i.0));
-    h.usize(waits.len());
-    for (&(d, i), tasks) in waits {
-        h.bytes(&[d.0]).u32(i.0 as u32).usize(tasks.len());
-        for t in tasks {
-            h.u32(t.0);
-        }
-    }
-    v.trace.digest_into(h);
-    h.bool(v.trace_stderr);
-    match v.fault_plan {
-        None => {
-            h.bool(false);
-        }
-        Some(p) => {
-            h.bool(true);
-            p.digest_into(h);
-        }
-    }
-    v.auditor.digest_into(h);
-    h.u64(v.next_call_id);
-    v.metrics.digest_into(h);
-    if observability {
-        v.spans.digest_into(h);
-    }
-    let mut inflight: Vec<(&DmaXferId, &(SpanId, SimTime))> = v.dma_inflight.iter().collect();
-    inflight.sort_unstable_by_key(|&(id, _)| id.0);
-    h.usize(inflight.len());
-    for (id, &(span, at)) in inflight {
-        h.u64(id.0);
+        self.auditor.digest_into(h);
+        h.u64(self.next_call_id);
+        self.metrics.digest_into(h);
         if observability {
-            h.u64(span.raw());
+            self.spans.digest_into(h);
         }
-        h.u64(at.as_ns());
+        h.usize(self.dma_inflight.len());
+        for (id, &(span, at)) in &self.dma_inflight {
+            h.u64(id.0);
+            if observability {
+                h.u64(span.raw());
+            }
+            h.u64(at.as_ns());
+        }
+        h.u64(self.choice_points).u64(self.events_processed);
+        h.finish()
     }
-    h.u64(v.choice_points).u64(v.events_processed);
 }
 
 impl<W> Machine<W> {
@@ -649,7 +583,9 @@ impl<W> Machine<W> {
             );
         }
         let n_cores = core_rts.len();
-        Machine {
+        let mut trace = Trace::new(4096);
+        trace.set_enabled(false);
+        let state = MachineState {
             now: SimTime::ZERO,
             queue,
             cores: core_rts,
@@ -660,31 +596,35 @@ impl<W> Machine<W> {
             irq_fabric: IrqFabric::new(n_domains),
             dma: DmaEngine::new(crate::calib::DMA_BANDWIDTH_BPS),
             dma_pending: Vec::new(),
-            tasks: Vec::new(),
-            waiters: HashMap::new(),
-            hooks: HashMap::new(),
-            power_observers: Vec::new(),
-            live_tasks: 0,
+            waiters: BTreeMap::new(),
             completed_tasks: 0,
-            trace: {
-                let mut t = Trace::new(4096);
-                t.set_enabled(false);
-                t
-            },
-            trace_stderr: false,
+            trace,
             fault_plan: None,
             auditor: InvariantAuditor::new(),
-            world_checks: Vec::new(),
-            deferred: HashMap::new(),
             next_call_id: 0,
             metrics: Registry::new(),
             spans: SpanTracker::new(),
-            dma_inflight: HashMap::new(),
-            schedule_chooser: None,
+            dma_inflight: BTreeMap::new(),
             choice_points: 0,
             hot_ids: HotIds::new(n_cores, n_domains),
-            scratch_classes: Vec::new(),
             events_processed: 0,
+        };
+        Machine::with_state(state, 0)
+    }
+
+    /// A machine over `state` with `task_slots` vacant task slots and no
+    /// code installed.
+    fn with_state(state: MachineState, task_slots: usize) -> Self {
+        Machine {
+            state,
+            tasks: (0..task_slots).map(|_| None).collect(),
+            hooks: BTreeMap::new(),
+            power_observers: Vec::new(),
+            live_tasks: 0,
+            world_checks: Vec::new(),
+            deferred: BTreeMap::new(),
+            schedule_chooser: None,
+            scratch_classes: Vec::new(),
         }
     }
 
@@ -692,9 +632,10 @@ impl<W> Machine<W> {
     // Snapshot / fork
     // ------------------------------------------------------------------
 
-    /// Freezes the machine's complete data state into a
-    /// [`MachineSnapshot`] (see its docs for what is and is not
-    /// captured). The machine itself is untouched.
+    /// Freezes the machine into a [`MachineSnapshot`]: a whole clone of
+    /// its data state plus the task-slot watermark (see the snapshot's
+    /// docs for what is and is not captured). The machine itself is
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -713,85 +654,32 @@ impl<W> Machine<W> {
             self.deferred.len()
         );
         MachineSnapshot {
-            now: self.now,
-            queue: self.queue.clone(),
-            cores: self.cores.clone(),
-            domains: self.domains.clone(),
-            ram: self.ram.clone(),
-            mailboxes: self.mailboxes.clone(),
-            hwlocks: self.hwlocks.clone(),
-            irq_fabric: self.irq_fabric.clone(),
-            dma: self.dma.clone(),
-            dma_pending: self.dma_pending.clone(),
+            state: self.state.clone(),
             task_slots: self.tasks.len(),
-            waiters: self.waiters.clone(),
-            completed_tasks: self.completed_tasks,
-            trace: self.trace.clone(),
-            trace_stderr: self.trace_stderr,
-            fault_plan: self.fault_plan.clone(),
-            auditor: self.auditor.clone(),
-            next_call_id: self.next_call_id,
-            metrics: self.metrics.clone(),
-            spans: self.spans.clone(),
-            dma_inflight: self.dma_inflight.clone(),
-            choice_points: self.choice_points,
-            hot_ids: self.hot_ids.clone(),
-            events_processed: self.events_processed,
         }
     }
 
-    /// Rehydrates a machine from a frozen snapshot: every data field is
-    /// structurally cloned back; the closure tables (interrupt hooks,
-    /// power observers, invariant checks, schedule chooser) come back
-    /// *empty* and must be re-installed by the world layer before the
-    /// machine runs — `K2System::fork` does exactly that, making a fork
+    /// Rehydrates a machine from a frozen snapshot: the data state is
+    /// cloned back whole; the closure tables (interrupt hooks, power
+    /// observers, invariant checks, schedule chooser) come back *empty*
+    /// and must be re-installed by the world layer before the machine
+    /// runs — `K2System::fork` does exactly that, making a fork
     /// byte-indistinguishable from the machine the snapshot froze.
     pub fn fork(snap: &MachineSnapshot) -> Machine<W> {
-        Machine {
-            now: snap.now,
-            queue: snap.queue.clone(),
-            cores: snap.cores.clone(),
-            domains: snap.domains.clone(),
-            ram: snap.ram.clone(),
-            mailboxes: snap.mailboxes.clone(),
-            hwlocks: snap.hwlocks.clone(),
-            irq_fabric: snap.irq_fabric.clone(),
-            dma: snap.dma.clone(),
-            dma_pending: snap.dma_pending.clone(),
-            tasks: (0..snap.task_slots).map(|_| None).collect(),
-            waiters: snap.waiters.clone(),
-            hooks: HashMap::new(),
-            power_observers: Vec::new(),
-            live_tasks: 0,
-            completed_tasks: snap.completed_tasks,
-            trace: snap.trace.clone(),
-            trace_stderr: snap.trace_stderr,
-            fault_plan: snap.fault_plan.clone(),
-            auditor: snap.auditor.clone(),
-            world_checks: Vec::new(),
-            deferred: HashMap::new(),
-            next_call_id: snap.next_call_id,
-            metrics: snap.metrics.clone(),
-            spans: snap.spans.clone(),
-            dma_inflight: snap.dma_inflight.clone(),
-            schedule_chooser: None,
-            choice_points: snap.choice_points,
-            hot_ids: snap.hot_ids.clone(),
-            scratch_classes: Vec::new(),
-            events_processed: snap.events_processed,
-        }
+        Machine::with_state(snap.state.clone(), snap.task_slots)
     }
 
     /// 64-bit FNV-1a digest over the machine's current data state — the
-    /// same folding [`MachineSnapshot::digest`] uses, so
+    /// same fold [`MachineSnapshot::digest`] uses, so
     /// `m.state_digest() == m.snapshot().digest()` whenever the machine
     /// is quiescent, and two machines agreeing here agree on everything
     /// a snapshot would capture. Unlike [`Machine::snapshot`] this never
-    /// panics: live tasks and deferred calls are *counted* into the
-    /// digest (their closures cannot be folded, but their presence is
-    /// still distinguishing).
+    /// panics. Task bodies, hooks and deferred calls are closures and
+    /// are not folded, but they are never invisible: a pending deferred
+    /// call owns a live queue entry, and a live task is referenced by
+    /// its core's run state, a waiter list or a queued wake-up.
     pub fn state_digest(&self) -> u64 {
-        self.digest_with(true)
+        self.state.digest(self.tasks.len(), true)
     }
 
     /// The *simulation* digest: [`Machine::state_digest`] minus every
@@ -801,46 +689,7 @@ impl<W> Machine<W> {
     /// this digest precisely so that turning tracing on can never change
     /// a pinned run.
     pub fn sim_digest(&self) -> u64 {
-        self.digest_with(false)
-    }
-
-    fn digest_with(&self, observability: bool) -> u64 {
-        let mut h = Fnv64::new();
-        digest_machine_state(
-            &mut h,
-            StateView {
-                now: self.now,
-                queue: &self.queue,
-                cores: &self.cores,
-                domains: &self.domains,
-                ram: &self.ram,
-                mailboxes: &self.mailboxes,
-                hwlocks: &self.hwlocks,
-                irq_fabric: &self.irq_fabric,
-                dma: &self.dma,
-                dma_pending: &self.dma_pending,
-                task_slots: self.tasks.len(),
-                waiters: &self.waiters,
-                completed_tasks: self.completed_tasks,
-                trace: &self.trace,
-                trace_stderr: self.trace_stderr,
-                fault_plan: self.fault_plan.as_ref(),
-                auditor: &self.auditor,
-                next_call_id: self.next_call_id,
-                metrics: &self.metrics,
-                spans: &self.spans,
-                dma_inflight: &self.dma_inflight,
-                choice_points: self.choice_points,
-                events_processed: self.events_processed,
-            },
-            observability,
-        );
-        // Closure-bearing state (task bodies, hooks, deferred calls) is
-        // not folded directly, but it is never invisible either: a
-        // pending deferred call owns a live `Event::Call { id }` queue
-        // entry, and a live task is referenced by its core's run state or
-        // a `TaskWake` event — all of which the folding above covers.
-        h.finish()
+        self.state.digest(self.tasks.len(), false)
     }
 
     // ------------------------------------------------------------------
@@ -864,7 +713,7 @@ impl<W> Machine<W> {
     /// How many nondeterministic choice points (co-enabled sets of ≥ 2
     /// events) the event loop has encountered, chooser or not.
     pub fn choice_points(&self) -> u64 {
-        self.choice_points
+        self.state.choice_points
     }
 
     /// Pops the next event, consulting the schedule chooser at choice
@@ -879,16 +728,16 @@ impl<W> Machine<W> {
     fn next_event(&mut self) -> Option<(SimTime, Event)> {
         match self.schedule_chooser.take() {
             None => {
-                let (at, ev, tied) = self.queue.pop_tied()?;
+                let (at, ev, tied) = self.state.queue.pop_tied()?;
                 if tied {
-                    self.choice_points += 1;
+                    self.state.choice_points += 1;
                 }
                 Some((at, ev))
             }
             Some(mut chooser) => {
-                let choice_points = &mut self.choice_points;
+                let choice_points = &mut self.state.choice_points;
                 let classes = &mut self.scratch_classes;
-                let popped = self.queue.pop_with(|at, cands| {
+                let popped = self.state.queue.pop_with(|at, cands| {
                     *choice_points += 1;
                     classes.clear();
                     classes.extend(cands.iter().map(Event::class));
@@ -906,13 +755,13 @@ impl<W> Machine<W> {
     /// Total events the loop has dispatched — the denominator of the
     /// simulator's events/sec throughput figure.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.state.events_processed
     }
 
     /// Enables or disables the bounded in-memory event trace (see
     /// [`Machine::trace`]).
     pub fn set_trace(&mut self, on: bool) {
-        self.trace.set_enabled(on);
+        self.state.trace.set_enabled(on);
     }
 
     /// Replaces the event-trace ring with one of `capacity` records,
@@ -924,24 +773,21 @@ impl<W> Machine<W> {
     ///
     /// Panics if `capacity` is zero.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        let enabled = self.trace.is_enabled();
-        self.trace = Trace::new(capacity);
-        self.trace.set_enabled(enabled);
-    }
-
-    /// Additionally echoes every raw event to stderr (debugging).
-    pub fn set_trace_stderr(&mut self, on: bool) {
-        self.trace_stderr = on;
+        let enabled = self.state.trace.is_enabled();
+        self.state.trace = Trace::new(capacity);
+        self.state.trace.set_enabled(enabled);
     }
 
     /// The recorded event trace.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.state.trace
     }
 
     /// Emits a free-form marker into the trace.
     pub fn trace_marker(&mut self, label: &'static str) {
-        self.trace.record(self.now, TraceEvent::Marker(label));
+        self.state
+            .trace
+            .record(self.state.now, TraceEvent::Marker(label));
     }
 
     // ------------------------------------------------------------------
@@ -950,24 +796,24 @@ impl<W> Machine<W> {
 
     /// The metrics registry (read-only).
     pub fn metrics(&self) -> &Registry {
-        &self.metrics
+        &self.state.metrics
     }
 
     /// The metrics registry, for OS layers to record their own counters,
     /// gauges, and histograms. Recording is pure observation — it never
     /// perturbs event timing — so instrumented runs stay byte-identical.
     pub fn metrics_mut(&mut self) -> &mut Registry {
-        &mut self.metrics
+        &mut self.state.metrics
     }
 
     /// The span tracker (read-only).
     pub fn spans(&self) -> &SpanTracker {
-        &self.spans
+        &self.state.spans
     }
 
     /// The span tracker, for OS layers to open their own causal spans.
     pub fn spans_mut(&mut self) -> &mut SpanTracker {
-        &mut self.spans
+        &mut self.state.spans
     }
 
     /// Installs a span storage backend (see [`SinkMode`]): `Full` is the
@@ -977,7 +823,7 @@ impl<W> Machine<W> {
     /// observation, so the choice never changes simulated behaviour;
     /// install before driving events (a swap discards retained spans).
     pub fn set_span_sink(&mut self, mode: SinkMode) {
-        self.spans.set_sink(mode.build());
+        self.state.spans.set_sink(mode.build());
     }
 
     /// Attributes `dur` of active time on `core` to a named subsystem.
@@ -985,8 +831,8 @@ impl<W> Machine<W> {
     /// per-core attribution table sums to the meter's active time.
     fn attribute(&mut self, core: CoreId, subsystem: &'static str, dur: SimDuration) {
         if !dur.is_zero() {
-            self.metrics.add_duration_cached(
-                &mut self.hot_ids.active[core.index()][sub_slot(subsystem)],
+            self.state.metrics.add_duration_cached(
+                &mut self.state.hot_ids.active[core.index()][sub_slot(subsystem)],
                 Key::new("active", Tag::CoreSubsystem(core.0, subsystem)),
                 dur,
             );
@@ -996,14 +842,17 @@ impl<W> Machine<W> {
     /// Samples the run-queue depth gauge for `core` (called after every
     /// run-queue mutation so the time-weighted average is exact).
     fn note_runq(&mut self, core: CoreId) {
-        let depth = self.cores[core.index()].rq.len() as f64;
-        let slot = &mut self.hot_ids.sched_runq[core.index()];
+        let depth = self.state.cores[core.index()].rq.len() as f64;
+        let slot = &mut self.state.hot_ids.sched_runq[core.index()];
         match *slot {
-            Some(id) => self.metrics.gauge_set_by_id(id, self.now, depth),
+            Some(id) => self
+                .state
+                .metrics
+                .gauge_set_by_id(id, self.state.now, depth),
             None => {
-                *slot = Some(self.metrics.gauge_set(
+                *slot = Some(self.state.metrics.gauge_set(
                     Key::new("sched.runq", Tag::Core(core.0)),
-                    self.now,
+                    self.state.now,
                     depth,
                 ));
             }
@@ -1014,7 +863,7 @@ impl<W> Machine<W> {
     /// [`InvariantAuditor::begin_final`]): every registered check executes
     /// at least once even when the run ends between stride points.
     fn final_audit(&mut self, w: &mut W) {
-        if self.auditor.begin_final() {
+        if self.state.auditor.begin_final() {
             self.audit_step(w);
         }
     }
@@ -1025,9 +874,9 @@ impl<W> Machine<W> {
     pub fn active_attribution(&self) -> (SimDuration, SimDuration) {
         let mut active = SimDuration::ZERO;
         let mut attributed = SimDuration::ZERO;
-        for rt in &self.cores {
-            active += rt.meter.time_in_at(PowerState::Active, self.now);
-            for (_, d) in self.metrics.core_breakdown("active", rt.desc.id.0) {
+        for rt in &self.state.cores {
+            active += rt.meter.time_in_at(PowerState::Active, self.state.now);
+            for (_, d) in self.state.metrics.core_breakdown("active", rt.desc.id.0) {
                 attributed += d;
             }
         }
@@ -1048,7 +897,7 @@ impl<W> Machine<W> {
     /// conformance-matrix digest pin them.
     pub fn write_profile_fields<O: std::fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, O>) {
         use std::fmt::Write as _;
-        let now = self.now;
+        let now = self.state.now;
         // Reused key buffer: metric keys are `Display`ed, not allocated.
         let mut kb = String::new();
         w.key("sim_time_ns");
@@ -1077,7 +926,7 @@ impl<W> Machine<W> {
         w.end_array();
         w.key("cores");
         w.begin_array();
-        for rt in &self.cores {
+        for rt in &self.state.cores {
             let active = rt.meter.time_in_at(PowerState::Active, now);
             w.begin_object();
             w.key("core");
@@ -1102,7 +951,7 @@ impl<W> Machine<W> {
             w.key("active_breakdown_ns");
             w.begin_object();
             let mut attributed = SimDuration::ZERO;
-            for (sub, d) in self.metrics.core_breakdown("active", rt.desc.id.0) {
+            for (sub, d) in self.state.metrics.core_breakdown("active", rt.desc.id.0) {
                 attributed += d;
                 w.key(sub);
                 w.u64(d.as_ns());
@@ -1117,7 +966,7 @@ impl<W> Machine<W> {
         w.begin_object();
         w.key("counters");
         w.begin_object();
-        for (k, v) in self.metrics.counters() {
+        for (k, v) in self.state.metrics.counters() {
             kb.clear();
             write!(kb, "{k}").unwrap();
             w.key(&kb);
@@ -1126,7 +975,7 @@ impl<W> Machine<W> {
         w.end_object();
         w.key("durations_ns");
         w.begin_object();
-        for (k, d) in self.metrics.durations() {
+        for (k, d) in self.state.metrics.durations() {
             kb.clear();
             write!(kb, "{k}").unwrap();
             w.key(&kb);
@@ -1135,7 +984,7 @@ impl<W> Machine<W> {
         w.end_object();
         w.key("gauges");
         w.begin_object();
-        for (k, g) in self.metrics.gauges() {
+        for (k, g) in self.state.metrics.gauges() {
             kb.clear();
             write!(kb, "{k}").unwrap();
             w.key(&kb);
@@ -1153,7 +1002,7 @@ impl<W> Machine<W> {
         w.end_object();
         w.key("histograms");
         w.begin_object();
-        for (k, h) in self.metrics.histograms() {
+        for (k, h) in self.state.metrics.histograms() {
             kb.clear();
             write!(kb, "{k}").unwrap();
             w.key(&kb);
@@ -1173,14 +1022,14 @@ impl<W> Machine<W> {
         w.key("spans");
         w.begin_object();
         w.key("allocated");
-        w.u64(self.spans.allocated());
+        w.u64(self.state.spans.allocated());
         w.key("retained");
-        w.u64(self.spans.retained() as u64);
+        w.u64(self.state.spans.retained() as u64);
         w.key("dropped");
-        w.u64(self.spans.dropped());
+        w.u64(self.state.spans.dropped());
         w.key("by_name");
         w.begin_object();
-        for (name, (count, total_ns)) in self.spans.summary() {
+        for (name, (count, total_ns)) in self.state.spans.summary() {
             w.key(name);
             w.begin_object();
             w.key("count");
@@ -1234,7 +1083,7 @@ impl<W> Machine<W> {
                 _ => 0,
             }
         }
-        let now = self.now;
+        let now = self.state.now;
         w.set_machine(machine);
         let mut label = String::new();
         for d in 0..self.domain_count() {
@@ -1258,7 +1107,7 @@ impl<W> Machine<W> {
         // then draws the hub→device→hub arrows of one causal tree.
         // Single-machine traces carry no such args, so their output is
         // byte-identical to the pre-flow format.
-        self.spans.for_each(|s| {
+        self.state.spans.for_each(|s| {
             if let Some(end) = s.end {
                 let mut args = vec![
                     ("id", s.id.raw()),
@@ -1295,21 +1144,21 @@ impl<W> Machine<W> {
         });
         // Event-trace timeline (only present when tracing was enabled):
         // power transitions drive the per-domain counter series.
-        let n = self.cores.len();
+        let n = self.state.cores.len();
         let mut state = vec![PowerState::Idle; n];
         let mut last = vec![SimTime::ZERO; n];
         let mut acc = vec![0.0f64; n]; // cumulative mJ per core
-        for r in self.trace.iter() {
+        for r in self.state.trace.iter() {
             match r.event {
                 TraceEvent::Power { core, state: code } => {
                     let ci = core as usize;
                     if ci >= n {
                         continue;
                     }
-                    let dom = self.cores[ci].desc.domain;
+                    let dom = self.state.cores[ci].desc.domain;
                     // Advance every core of the domain to this instant,
                     // charging the power of the state it was in.
-                    for (i, rt) in self.cores.iter().enumerate() {
+                    for (i, rt) in self.state.cores.iter().enumerate() {
                         if rt.desc.domain != dom {
                             continue;
                         }
@@ -1324,7 +1173,7 @@ impl<W> Machine<W> {
                     };
                     let mut energy = 0.0;
                     let mut active = 0u64;
-                    for (i, rt) in self.cores.iter().enumerate() {
+                    for (i, rt) in self.state.cores.iter().enumerate() {
                         if rt.desc.domain != dom {
                             continue;
                         }
@@ -1367,12 +1216,13 @@ impl<W> Machine<W> {
             );
         }
         let mut name = String::new();
-        for (k, g) in self.metrics.gauges() {
+        for (k, g) in self.state.metrics.gauges() {
             if let Tag::Core(c) = k.tag {
                 use std::fmt::Write as _;
                 name.clear();
                 write!(name, "{}/core{}", k.name, c).unwrap();
                 let pid = self
+                    .state
                     .cores
                     .get(c as usize)
                     .map_or(0, |rt| rt.desc.domain.0 as u64);
@@ -1393,24 +1243,24 @@ impl<W> Machine<W> {
     /// Installs a fault plan. From now on the machine consults it on every
     /// mail send, lock acquisition, DMA completion, and task step.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
+        self.state.fault_plan = Some(plan);
     }
 
     /// `true` when a fault plan is installed — kernel layers use this to
     /// activate their reliability paths (acks, retries, dedup) so that
     /// unfaulted runs stay byte-identical to the calibrated model.
     pub fn fault_injection_active(&self) -> bool {
-        self.fault_plan.is_some()
+        self.state.fault_plan.is_some()
     }
 
     /// Counts of faults injected so far, if a plan is installed.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
+        self.state.fault_plan.as_ref().map(|p| p.stats())
     }
 
     /// The invariant auditor (read-only).
     pub fn auditor(&self) -> &InvariantAuditor {
-        &self.auditor
+        &self.state.auditor
     }
 
     /// Switches the invariant auditor on, checking every `stride`-th step.
@@ -1419,8 +1269,8 @@ impl<W> Machine<W> {
     ///
     /// Panics if `stride` is zero.
     pub fn enable_audit(&mut self, stride: u64) {
-        self.auditor.set_stride(stride);
-        self.auditor.set_enabled(true);
+        self.state.auditor.set_stride(stride);
+        self.state.auditor.set_enabled(true);
     }
 
     /// Registers a world-state conservation law; audited together with the
@@ -1433,43 +1283,45 @@ impl<W> Machine<W> {
     /// machine's equivalent of a kernel timer callback. Used by reliability
     /// layers for retransmit deadlines and watchdogs.
     pub fn call_after(&mut self, dur: SimDuration, f: DeferredCall<W>) {
-        let id = self.next_call_id;
-        self.next_call_id += 1;
+        let id = self.state.next_call_id;
+        self.state.next_call_id += 1;
         self.deferred.insert(id, f);
-        self.queue.schedule(self.now + dur, Event::Call { id });
+        self.state
+            .queue
+            .schedule(self.state.now + dur, Event::Call { id });
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// Static description of a core.
     pub fn core_desc(&self, core: CoreId) -> &CoreDesc {
-        &self.cores[core.index()].desc
+        &self.state.cores[core.index()].desc
     }
 
     /// The cores of a domain, lowest id first.
     pub fn domain_cores(&self, dom: DomainId) -> &[CoreId] {
-        &self.domains[dom.index()]
+        &self.state.domains[dom.index()]
     }
 
     /// Number of domains on the platform.
     pub fn domain_count(&self) -> usize {
-        self.domains.len()
+        self.state.domains.len()
     }
 
     /// `true` if the core is running a task or has tasks queued —
     /// distinguishes real work from interrupt-service blips (used by K2's
     /// interrupt coordination to apply §7 rule 2 only to genuine wake-ups).
     pub fn core_has_task_work(&self, core: CoreId) -> bool {
-        let rt = &self.cores[core.index()];
+        let rt = &self.state.cores[core.index()];
         rt.running.is_some() || !rt.rq.is_empty()
     }
 
     /// A core's current power state.
     pub fn core_power_state(&self, core: CoreId) -> PowerState {
-        match self.cores[core.index()].mode {
+        match self.state.cores[core.index()].mode {
             CoreMode::Busy => PowerState::Active,
             CoreMode::Idle => PowerState::Idle,
             CoreMode::Inactive => PowerState::Inactive,
@@ -1494,7 +1346,11 @@ impl<W> Machine<W> {
     pub fn domain_energy_mj(&self, dom: DomainId) -> f64 {
         self.domain_cores(dom)
             .iter()
-            .map(|&c| self.cores[c.index()].meter.energy_mj_at(self.now))
+            .map(|&c| {
+                self.state.cores[c.index()]
+                    .meter
+                    .energy_mj_at(self.state.now)
+            })
             .sum()
     }
 
@@ -1507,7 +1363,7 @@ impl<W> Machine<W> {
 
     /// The energy meter of one core (read-only).
     pub fn core_meter(&self, core: CoreId) -> &EnergyMeter {
-        &self.cores[core.index()].meter
+        &self.state.cores[core.index()].meter
     }
 
     /// Changes a core's operating point (frequency and power parameters).
@@ -1517,12 +1373,12 @@ impl<W> Machine<W> {
         freq_hz: u64,
         power: crate::power::CorePowerParams,
     ) {
-        let rt = &mut self.cores[core.index()];
+        let rt = &mut self.state.cores[core.index()];
         let (lo, hi) = rt.desc.kind.freq_range();
         assert!((lo..=hi).contains(&freq_hz), "frequency out of range");
         rt.desc.freq_hz = freq_hz;
         rt.desc.power = power;
-        rt.meter.set_params(self.now, power);
+        rt.meter.set_params(self.state.now, power);
     }
 
     // ------------------------------------------------------------------
@@ -1540,7 +1396,7 @@ impl<W> Machine<W> {
             name,
         }));
         self.live_tasks += 1;
-        self.cores[core.index()].rq.push_back(id);
+        self.state.cores[core.index()].rq.push_back(id);
         self.note_runq(core);
         self.kick(core, w);
         id
@@ -1560,20 +1416,21 @@ impl<W> Machine<W> {
         }
         slot.state = TaskState::Ready;
         let core = slot.core;
-        self.cores[core.index()].rq.push_back(task);
+        self.state.cores[core.index()].rq.push_back(task);
         self.note_runq(core);
         self.kick(core, w);
     }
 
     /// Schedules a wake for `task` after `dur` (a kernel timer).
     pub fn wake_after(&mut self, task: TaskId, dur: SimDuration) {
-        self.queue
-            .schedule(self.now + dur, Event::TaskWake { task });
+        self.state
+            .queue
+            .schedule(self.state.now + dur, Event::TaskWake { task });
     }
 
     /// Number of tasks that have run to completion.
     pub fn completed_tasks(&self) -> u64 {
-        self.completed_tasks
+        self.state.completed_tasks
     }
 
     /// Number of tasks still live.
@@ -1584,6 +1441,16 @@ impl<W> Machine<W> {
     // ------------------------------------------------------------------
     // Peripherals
     // ------------------------------------------------------------------
+
+    /// Shared RAM (read-only).
+    pub fn ram(&self) -> &SharedRam {
+        &self.state.ram
+    }
+
+    /// Shared RAM, for tasks and kernel code that access it directly.
+    pub fn ram_mut(&mut self) -> &mut SharedRam {
+        &mut self.state.ram
+    }
 
     /// Sends a 32-bit hardware mail from one domain to another. Delivery
     /// takes the interconnect latency, then raises the receiver's mailbox
@@ -1605,69 +1472,69 @@ impl<W> Machine<W> {
         let span = match tag {
             // The reliable-link sequence tag rides into the trace so a
             // retransmitted mail is attributable in the Chrome viewer.
-            Some(t) => self.spans.start_args(
-                self.now,
+            Some(t) => self.state.spans.start_args(
+                self.state.now,
                 "mail",
                 from.0,
                 SpanArgs::one("tag", u64::from(t.seq)),
             ),
-            None => self.spans.start(self.now, "mail", from.0),
+            None => self.state.spans.start(self.state.now, "mail", from.0),
         };
         let env = Envelope {
             from,
             mail,
             tag,
-            sent_at: self.now,
+            sent_at: self.state.now,
             span,
         };
-        let pair = self.hot_ids.pair(from, to);
-        self.metrics.add_cached(
-            &mut self.hot_ids.mail_sent[pair],
+        let pair = self.state.hot_ids.pair(from, to);
+        self.state.metrics.add_cached(
+            &mut self.state.hot_ids.mail_sent[pair],
             Key::new("mail.sent", Tag::DomainPair(from.0, to.0)),
             1,
         );
         let mut deliveries = [Some(MAIL_LATENCY), None];
-        if let Some(plan) = &mut self.fault_plan {
+        if let Some(plan) = &mut self.state.fault_plan {
             match plan.mail_fate() {
                 MailFate::Deliver => {}
                 MailFate::Drop => {
-                    self.trace.record(
-                        self.now,
+                    self.state.trace.record(
+                        self.state.now,
                         TraceEvent::Fault {
                             kind: FaultClass::MailDrop.code(),
                             arg: mail.0,
                         },
                     );
-                    self.metrics.incr(Key::new(
+                    self.state.metrics.incr(Key::new(
                         "mail.fault_dropped",
                         Tag::DomainPair(from.0, to.0),
                     ));
-                    self.spans.end(self.now, span);
+                    self.state.spans.end(self.state.now, span);
                     return;
                 }
                 MailFate::Duplicate => {
-                    self.trace.record(
-                        self.now,
+                    self.state.trace.record(
+                        self.state.now,
                         TraceEvent::Fault {
                             kind: FaultClass::MailDuplicate.code(),
                             arg: mail.0,
                         },
                     );
-                    self.metrics.incr(Key::new(
+                    self.state.metrics.incr(Key::new(
                         "mail.fault_duplicated",
                         Tag::DomainPair(from.0, to.0),
                     ));
                     deliveries[1] = Some(MAIL_LATENCY);
                 }
                 MailFate::Delay(extra) => {
-                    self.trace.record(
-                        self.now,
+                    self.state.trace.record(
+                        self.state.now,
                         TraceEvent::Fault {
                             kind: FaultClass::MailDelay.code(),
                             arg: mail.0,
                         },
                     );
-                    self.metrics.incr(Key::new(
+                    self.state.metrics.incr(Key::new(
                         "mail.fault_delayed",
                         Tag::DomainPair(from.0, to.0),
                     ));
@@ -1676,37 +1543,33 @@ impl<W> Machine<W> {
             }
         }
         for lat in deliveries.into_iter().flatten() {
-            self.queue
-                .schedule(self.now + lat, Event::MailDeliver { to, env });
+            self.state
+                .queue
+                .schedule(self.state.now + lat, Event::MailDeliver { to, env });
         }
     }
 
     /// Pops the oldest pending mail for `dom` (called from mailbox ISRs).
     pub fn mailbox_recv(&mut self, dom: DomainId) -> Option<Envelope> {
-        self.mailboxes.receive(dom)
+        self.state.mailboxes.receive(dom)
     }
 
     /// Total mails delivered so far (statistics).
     pub fn mailbox_delivered(&self) -> u64 {
-        self.mailboxes.delivered_count()
+        self.state.mailboxes.delivered_count()
     }
 
     /// Total mails popped by receivers so far (statistics).
     pub fn mailbox_received(&self) -> u64 {
-        self.mailboxes.received_count()
+        self.state.mailboxes.received_count()
     }
 
     /// Mails sitting in FIFOs, summed over every domain — the third term
     /// of the delivered == received + pending conservation law.
     pub fn mailbox_pending_total(&self) -> u64 {
-        (0..self.domains.len())
-            .map(|d| self.mailboxes.pending(DomainId(d as u8)) as u64)
+        (0..self.state.domains.len())
+            .map(|d| self.state.mailboxes.pending(DomainId(d as u8)) as u64)
             .sum()
-    }
-
-    /// Hardware test-and-set. Returns `true` on acquisition.
-    pub fn hwlock_try_acquire(&mut self, id: HwLockId, dom: DomainId) -> bool {
-        self.hwlock_try_acquire_at(id, dom, self.now)
     }
 
     /// Hardware test-and-set as observed at (virtual) time `at` — callers
@@ -1715,11 +1578,11 @@ impl<W> Machine<W> {
     /// the whole loop executes within one simulation step. Returns `true`
     /// on acquisition.
     pub fn hwlock_try_acquire_at(&mut self, id: HwLockId, dom: DomainId, at: SimTime) -> bool {
-        if let Some(plan) = &mut self.fault_plan {
+        if let Some(plan) = &mut self.state.fault_plan {
             if plan.lock_attempt(id, at) {
-                self.hwlocks.note_contention();
-                self.trace.record(
-                    self.now,
+                self.state.hwlocks.note_contention();
+                self.state.trace.record(
+                    self.state.now,
                     TraceEvent::Fault {
                         kind: FaultClass::LockStuck.code(),
                         arg: id.0 as u32,
@@ -1728,7 +1591,7 @@ impl<W> Machine<W> {
                 return false;
             }
         }
-        self.hwlocks.try_acquire(id, dom)
+        self.state.hwlocks.try_acquire(id, dom)
     }
 
     /// Releases a hardware spinlock.
@@ -1737,12 +1600,12 @@ impl<W> Machine<W> {
     ///
     /// Panics if `dom` does not hold the lock.
     pub fn hwlock_release(&mut self, id: HwLockId, dom: DomainId) {
-        self.hwlocks.release(id, dom)
+        self.state.hwlocks.release(id, dom)
     }
 
     /// The hardware spinlock bank (statistics).
     pub fn hwlocks(&self) -> &HwSpinlockBank {
-        &self.hwlocks
+        &self.state.hwlocks
     }
 
     /// Submits a DMA transfer; the engine raises [`IrqId::DMA`] when it
@@ -1765,24 +1628,27 @@ impl<W> Machine<W> {
         len: u64,
         lead: SimDuration,
     ) -> DmaXferId {
-        let id = self.dma.submit_after(self.now, src, dst, len, lead);
-        self.metrics.add_cached(
-            &mut self.hot_ids.dma_submitted,
+        let id = self
+            .state
+            .dma
+            .submit_after(self.state.now, src, dst, len, lead);
+        self.state.metrics.add_cached(
+            &mut self.state.hot_ids.dma_submitted,
             Key::new("dma.submitted", Tag::Whole),
             1,
         );
-        self.metrics.add_cached(
-            &mut self.hot_ids.dma_bytes_submitted,
+        self.state.metrics.add_cached(
+            &mut self.state.hot_ids.dma_bytes_submitted,
             Key::new("dma.bytes_submitted", Tag::Whole),
             len,
         );
-        let span = self.spans.start_args(
-            self.now,
+        let span = self.state.spans.start_args(
+            self.state.now,
             "dma",
             DomainId::STRONG.0,
             SpanArgs::one("bytes", len),
         );
-        self.dma_inflight.insert(id, (span, self.now));
+        self.state.dma_inflight.insert(id, (span, self.state.now));
         self.schedule_dma_tick();
         id
     }
@@ -1790,40 +1656,40 @@ impl<W> Machine<W> {
     /// Completions whose interrupt has fired but which no driver has
     /// collected yet. Drivers call this from their DMA ISR.
     pub fn dma_take_completions(&mut self) -> Vec<crate::dma::DmaCompletion> {
-        std::mem::take(&mut self.dma_pending)
+        std::mem::take(&mut self.state.dma_pending)
     }
 
     /// The DMA engine (statistics).
     pub fn dma(&self) -> &DmaEngine {
-        &self.dma
+        &self.state.dma
     }
 
     /// Masks `irq` in `dom`'s interrupt controller.
     pub fn irq_mask(&mut self, dom: DomainId, irq: IrqId) {
-        self.irq_fabric.controller_mut(dom).mask(irq);
+        self.state.irq_fabric.controller_mut(dom).mask(irq);
     }
 
     /// Unmasks `irq` in `dom`'s controller; a pended interrupt is delivered
     /// immediately.
     pub fn irq_unmask(&mut self, dom: DomainId, irq: IrqId, w: &mut W) {
-        if self.irq_fabric.controller_mut(dom).unmask(irq) {
+        if self.state.irq_fabric.controller_mut(dom).unmask(irq) {
             self.deliver_irq(dom, irq, w);
         }
     }
 
     /// `true` if `dom` currently unmasks `irq`.
     pub fn irq_is_unmasked(&self, dom: DomainId, irq: IrqId) -> bool {
-        self.irq_fabric.controller(dom).is_unmasked(irq)
+        self.state.irq_fabric.controller(dom).is_unmasked(irq)
     }
 
     /// Domains that would handle `irq` right now.
     pub fn irq_handlers_of(&self, irq: IrqId) -> Vec<DomainId> {
-        self.irq_fabric.handlers_of(irq)
+        self.state.irq_fabric.handlers_of(irq)
     }
 
     /// Raises an interrupt line (peripheral models call this).
     pub fn raise_irq(&mut self, irq: IrqId, w: &mut W) {
-        let targets = self.irq_fabric.raise(irq);
+        let targets = self.state.irq_fabric.raise(irq);
         for dom in targets {
             self.deliver_irq(dom, irq, w);
         }
@@ -1831,7 +1697,9 @@ impl<W> Machine<W> {
 
     /// Raises an interrupt after a delay (for simulated peripherals).
     pub fn raise_irq_after(&mut self, irq: IrqId, dur: SimDuration) {
-        self.queue.schedule(self.now + dur, Event::RaiseIrq { irq });
+        self.state
+            .queue
+            .schedule(self.state.now + dur, Event::RaiseIrq { irq });
     }
 
     /// Installs the ISR hook for `(dom, irq)`; at most one per pair.
@@ -1851,9 +1719,9 @@ impl<W> Machine<W> {
     /// (non-zero only when the remote core had to wake up).
     pub fn charge_remote(&mut self, core: CoreId, dur: SimDuration, w: &mut W) -> SimDuration {
         self.attribute(core, "remote", dur);
-        match self.cores[core.index()].mode {
+        match self.state.cores[core.index()].mode {
             CoreMode::Busy => {
-                self.cores[core.index()].extra += dur;
+                self.state.cores[core.index()].extra += dur;
                 SimDuration::ZERO
             }
             CoreMode::Idle => {
@@ -1861,9 +1729,9 @@ impl<W> Machine<W> {
                 SimDuration::ZERO
             }
             CoreMode::Inactive => {
-                let wake = self.cores[core.index()].desc.power.wake_latency;
+                let wake = self.state.cores[core.index()].desc.power.wake_latency;
                 self.attribute(core, "wake", wake);
-                self.cores[core.index()].woke_for_service = true;
+                self.state.cores[core.index()].woke_for_service = true;
                 self.begin_busy(core, wake + dur, w);
                 wake
             }
@@ -1883,8 +1751,8 @@ impl<W> Machine<W> {
         while self.live_tasks > 0 {
             match self.next_event() {
                 Some((at, ev)) => {
-                    debug_assert!(at >= self.now);
-                    self.now = at;
+                    debug_assert!(at >= self.state.now);
+                    self.state.now = at;
                     self.handle(ev, w);
                     self.after_event(w);
                 }
@@ -1892,34 +1760,34 @@ impl<W> Machine<W> {
             }
         }
         self.final_audit(w);
-        self.now
+        self.state.now
     }
 
     /// Processes every event up to and including `until`, then advances the
     /// clock to `until` (so energy reads integrate the trailing interval).
     pub fn run_until(&mut self, until: SimTime, w: &mut W) {
-        while let Some(at) = self.queue.peek_time() {
+        while let Some(at) = self.state.queue.peek_time() {
             if at > until {
                 break;
             }
             let (at, ev) = self.next_event().expect("peeked event exists");
-            self.now = at;
+            self.state.now = at;
             self.handle(ev, w);
             self.after_event(w);
         }
-        assert!(until >= self.now, "run_until target in the past");
-        self.now = until;
+        assert!(until >= self.state.now, "run_until target in the past");
+        self.state.now = until;
         self.final_audit(w);
     }
 
     /// Post-event work: asynchronous fault injection (spurious wake-ups,
     /// which are not tied to any software action) and the invariant audit.
     fn after_event(&mut self, w: &mut W) {
-        if let Some(plan) = &mut self.fault_plan {
+        if let Some(plan) = &mut self.state.fault_plan {
             if let Some(target) = plan.spurious_wake() {
-                let dom = target.unwrap_or(DomainId((self.domains.len() - 1) as u8));
-                self.trace.record(
-                    self.now,
+                let dom = target.unwrap_or(DomainId((self.state.domains.len() - 1) as u8));
+                self.state.trace.record(
+                    self.state.now,
                     TraceEvent::Fault {
                         kind: FaultClass::SpuriousWake.code(),
                         arg: dom.0 as u32,
@@ -1930,7 +1798,7 @@ impl<W> Machine<W> {
                 self.raise_irq(IrqId::mailbox_for(dom), w);
             }
         }
-        if self.auditor.begin_step() {
+        if self.state.auditor.begin_step() {
             self.audit_step(w);
         }
     }
@@ -1938,20 +1806,20 @@ impl<W> Machine<W> {
     /// Checks the platform's conservation laws plus every registered world
     /// check, recording violations in the auditor.
     fn audit_step(&mut self, w: &mut W) {
-        let now = self.now;
+        let now = self.state.now;
         // Energy meters are monotone per core.
-        for (i, rt) in self.cores.iter().enumerate() {
+        for (i, rt) in self.state.cores.iter().enumerate() {
             let e = rt.meter.energy_mj_at(now);
-            self.auditor.check_monotone(now, "core-energy", i as u32, e);
+            self.state
+                .auditor
+                .check_monotone(now, "core-energy", i as u32, e);
         }
         // Mailbox conservation: every delivered mail is either received or
         // still pending in a FIFO.
-        let pending: u64 = (0..self.domains.len())
-            .map(|d| self.mailboxes.pending(DomainId(d as u8)) as u64)
-            .sum();
-        let delivered = self.mailboxes.delivered_count();
-        let received = self.mailboxes.received_count();
-        self.auditor.affirm(
+        let pending = self.mailbox_pending_total();
+        let delivered = self.state.mailboxes.delivered_count();
+        let received = self.state.mailboxes.received_count();
+        self.state.auditor.affirm(
             now,
             "mailbox-conservation",
             delivered == received + pending,
@@ -1959,10 +1827,10 @@ impl<W> Machine<W> {
         );
         // No interrupt raised-but-lost: a latched-pending line must be
         // masked (an unmasked raise delivers immediately).
-        for d in 0..self.domains.len() {
-            let ctl = self.irq_fabric.controller(DomainId(d as u8));
+        for d in 0..self.state.domains.len() {
+            let ctl = self.state.irq_fabric.controller(DomainId(d as u8));
             for line in ctl.pending_lines() {
-                self.auditor.affirm(
+                self.state.auditor.affirm(
                     now,
                     "irq-pending-implies-masked",
                     !ctl.is_unmasked(IrqId(line)),
@@ -1971,19 +1839,19 @@ impl<W> Machine<W> {
             }
         }
         // Hardware spinlock holders must be real domains.
-        for l in 0..self.hwlocks.len() {
-            if let Some(h) = self.hwlocks.holder(HwLockId(l as u16)) {
-                self.auditor.affirm(
+        for l in 0..self.state.hwlocks.len() {
+            if let Some(h) = self.state.hwlocks.holder(HwLockId(l as u16)) {
+                self.state.auditor.affirm(
                     now,
                     "hwlock-holder-valid",
-                    h.index() < self.domains.len(),
+                    h.index() < self.state.domains.len(),
                     || format!("lock {l} held by nonexistent {h}"),
                 );
             }
         }
         // World-state laws registered by the OS layers.
         for (name, check) in &self.world_checks {
-            self.auditor.check_result(now, name, check(w));
+            self.state.auditor.check_result(now, name, check(w));
         }
     }
 
@@ -1997,106 +1865,103 @@ impl<W> Machine<W> {
             .collect();
         panic!(
             "simulation deadlock at {:?}: {} live task(s), no pending events; parked: {:?}",
-            self.now, self.live_tasks, parked
+            self.state.now, self.live_tasks, parked
         );
     }
 
     fn handle(&mut self, ev: Event, w: &mut W) {
-        self.events_processed += 1;
-        if self.trace_stderr {
-            eprintln!("[{:?}] {:?}", self.now, ev);
-        }
+        self.state.events_processed += 1;
         match ev {
             Event::StepDone { core, epoch } => {
-                if self.cores[core.index()].epoch != epoch {
+                if self.state.cores[core.index()].epoch != epoch {
                     return;
                 }
-                let extra = std::mem::take(&mut self.cores[core.index()].extra);
+                let extra = std::mem::take(&mut self.state.cores[core.index()].extra);
                 if !extra.is_zero() {
-                    self.begin_busy_keep_running(core, extra, w);
+                    self.begin_busy(core, extra, w);
                     return;
                 }
-                match self.cores[core.index()].running {
+                match self.state.cores[core.index()].running {
                     Some(task) => self.step_task(core, task, w),
                     None => self.dispatch(core, w),
                 }
             }
             Event::InactiveTimeout { core, epoch } => {
-                let rt = &mut self.cores[core.index()];
+                let rt = &mut self.state.cores[core.index()];
                 if rt.epoch != epoch || rt.mode != CoreMode::Idle {
                     return;
                 }
                 rt.mode = CoreMode::Inactive;
-                rt.meter.set_state(self.now, PowerState::Inactive);
+                rt.meter.set_state(self.state.now, PowerState::Inactive);
                 self.notify_power(core, PowerState::Inactive, w);
             }
             Event::MailDeliver { to, env } => {
-                self.trace.record(
-                    self.now,
+                self.state.trace.record(
+                    self.state.now,
                     TraceEvent::Mail {
                         to: to.0,
                         payload: env.mail.0,
                     },
                 );
-                self.metrics.add_cached(
-                    &mut self.hot_ids.mail_delivered[to.index()],
+                self.state.metrics.add_cached(
+                    &mut self.state.hot_ids.mail_delivered[to.index()],
                     Key::new("mail.delivered", Tag::Domain(to.0)),
                     1,
                 );
-                let pair = self.hot_ids.pair(env.from, to);
-                self.metrics.observe_duration_cached(
-                    &mut self.hot_ids.mail_latency[pair],
+                let pair = self.state.hot_ids.pair(env.from, to);
+                self.state.metrics.observe_duration_cached(
+                    &mut self.state.hot_ids.mail_latency[pair],
                     Key::new("mail.latency", Tag::DomainPair(env.from.0, to.0)),
-                    self.now.saturating_since(env.sent_at),
+                    self.state.now.saturating_since(env.sent_at),
                 );
-                if !self.mailboxes.deliver(to, env) {
+                if !self.state.mailboxes.deliver(to, env) {
                     panic!("mailbox FIFO overflow for {to}");
                 }
                 // The mailbox IRQ (and everything its ISR triggers) is
                 // causally downstream of this mail: parent it on the
                 // flight span, then close the span at delivery.
-                self.spans.push_current(env.span);
+                self.state.spans.push_current(env.span);
                 self.raise_irq(IrqId::mailbox_for(to), w);
-                self.spans.pop_current();
-                self.spans.end(self.now, env.span);
+                self.state.spans.pop_current();
+                self.state.spans.end(self.state.now, env.span);
             }
             Event::DmaTick { generation } => {
-                if generation != self.dma.generation() {
+                if generation != self.state.dma.generation() {
                     return;
                 }
-                let mut completions = self.dma.advance(self.now);
+                let mut completions = self.state.dma.advance(self.state.now);
                 if !completions.is_empty() {
                     for c in &mut completions {
-                        if let Some((span, submitted)) = self.dma_inflight.remove(&c.id) {
-                            self.spans.end(self.now, span);
-                            self.metrics.observe_duration_cached(
-                                &mut self.hot_ids.dma_xfer,
+                        if let Some((span, submitted)) = self.state.dma_inflight.remove(&c.id) {
+                            self.state.spans.end(self.state.now, span);
+                            self.state.metrics.observe_duration_cached(
+                                &mut self.state.hot_ids.dma_xfer,
                                 Key::new("dma.xfer_ns", Tag::Whole),
-                                self.now.saturating_since(submitted),
+                                self.state.now.saturating_since(submitted),
                             );
                         }
-                        let fate = match &mut self.fault_plan {
+                        let fate = match &mut self.state.fault_plan {
                             Some(plan) => plan.dma_fate(),
                             None => DmaFate::Ok,
                         };
                         match fate {
                             DmaFate::Ok => {
-                                self.metrics.add_cached(
-                                    &mut self.hot_ids.dma_completed,
+                                self.state.metrics.add_cached(
+                                    &mut self.state.hot_ids.dma_completed,
                                     Key::new("dma.completed", Tag::Whole),
                                     1,
                                 );
-                                self.ram.copy(c.src, c.dst, c.len as usize);
+                                self.state.ram.copy(c.src, c.dst, c.len as usize);
                             }
                             DmaFate::Fail => {
-                                self.metrics.add_cached(
-                                    &mut self.hot_ids.dma_failed,
+                                self.state.metrics.add_cached(
+                                    &mut self.state.hot_ids.dma_failed,
                                     Key::new("dma.failed", Tag::Whole),
                                     1,
                                 );
                                 c.status = DmaStatus::Error { bytes_copied: 0 };
-                                self.trace.record(
-                                    self.now,
+                                self.state.trace.record(
+                                    self.state.now,
                                     TraceEvent::Fault {
                                         kind: FaultClass::DmaFail.code(),
                                         arg: c.id.0 as u32,
@@ -2104,8 +1969,8 @@ impl<W> Machine<W> {
                                 );
                             }
                             DmaFate::Partial(f) => {
-                                self.metrics.add_cached(
-                                    &mut self.hot_ids.dma_failed,
+                                self.state.metrics.add_cached(
+                                    &mut self.state.hot_ids.dma_failed,
                                     Key::new("dma.failed", Tag::Whole),
                                     1,
                                 );
@@ -2114,10 +1979,10 @@ impl<W> Machine<W> {
                                 } else {
                                     0
                                 };
-                                self.ram.copy(c.src, c.dst, n as usize);
+                                self.state.ram.copy(c.src, c.dst, n as usize);
                                 c.status = DmaStatus::Error { bytes_copied: n };
-                                self.trace.record(
-                                    self.now,
+                                self.state.trace.record(
+                                    self.state.now,
                                     TraceEvent::Fault {
                                         kind: FaultClass::DmaPartial.code(),
                                         arg: c.id.0 as u32,
@@ -2126,7 +1991,7 @@ impl<W> Machine<W> {
                             }
                         }
                     }
-                    self.dma_pending.extend(completions);
+                    self.state.dma_pending.extend(completions);
                     self.raise_irq(IrqId::DMA, w);
                 }
                 self.schedule_dma_tick();
@@ -2145,11 +2010,11 @@ impl<W> Machine<W> {
     }
 
     fn schedule_dma_tick(&mut self) {
-        if let Some(at) = self.dma.next_event_time(self.now) {
-            self.queue.schedule(
+        if let Some(at) = self.state.dma.next_event_time(self.state.now) {
+            self.state.queue.schedule(
                 at,
                 Event::DmaTick {
-                    generation: self.dma.generation(),
+                    generation: self.state.dma.generation(),
                 },
             );
         }
@@ -2158,24 +2023,24 @@ impl<W> Machine<W> {
     /// Delivers `irq` to `dom`: runs the hook on the domain's first core,
     /// charges its cost, and wakes any tasks waiting for this line.
     fn deliver_irq(&mut self, dom: DomainId, irq: IrqId, w: &mut W) {
-        self.trace.record(
-            self.now,
+        self.state.trace.record(
+            self.state.now,
             TraceEvent::Irq {
                 line: irq.0,
                 domain: dom.0,
             },
         );
-        self.metrics.add_cached(
-            &mut self.hot_ids.irq_delivered[dom.index()],
+        self.state.metrics.add_cached(
+            &mut self.state.hot_ids.irq_delivered[dom.index()],
             Key::new("irq.delivered", Tag::Domain(dom.0)),
             1,
         );
-        let core = self.domains[dom.index()][0];
+        let core = self.state.domains[dom.index()][0];
         // The handler span parents on whatever is current — the mail
         // flight span when this is a mailbox delivery — and everything
         // the hook does (bottom halves, replies) parents on the handler.
-        let span = self.spans.start(self.now, "irq", dom.0);
-        self.spans.push_current(span);
+        let span = self.state.spans.start(self.state.now, "irq", dom.0);
+        self.state.spans.push_current(span);
         // Run the hook's logic now; charge its time to the core.
         let mut cycles = crate::calib::IRQ_ENTRY_INSTRUCTIONS;
         if let Some(hook_slot) = self.hooks.get_mut(&(dom, irq)) {
@@ -2184,7 +2049,7 @@ impl<W> Machine<W> {
                 irq,
                 domain: dom,
                 core,
-                now: self.now,
+                now: self.state.now,
             };
             cycles += hook(w, self, cx);
             // Re-install unless the hook replaced itself.
@@ -2193,22 +2058,22 @@ impl<W> Machine<W> {
                 *slot = Some(hook);
             }
         }
-        self.spans.pop_current();
-        self.spans.end(self.now, span);
-        let dur = self.cores[core.index()].desc.cycles(cycles);
+        self.state.spans.pop_current();
+        self.state.spans.end(self.state.now, span);
+        let dur = self.state.cores[core.index()].desc.cycles(cycles);
         self.attribute(core, "irq", dur);
-        match self.cores[core.index()].mode {
-            CoreMode::Busy => self.cores[core.index()].extra += dur,
+        match self.state.cores[core.index()].mode {
+            CoreMode::Busy => self.state.cores[core.index()].extra += dur,
             CoreMode::Idle => self.begin_busy(core, dur, w),
             CoreMode::Inactive => {
-                let wake = self.cores[core.index()].desc.power.wake_latency;
+                let wake = self.state.cores[core.index()].desc.power.wake_latency;
                 self.attribute(core, "wake", wake);
-                self.cores[core.index()].woke_for_service = true;
+                self.state.cores[core.index()].woke_for_service = true;
                 self.begin_busy(core, wake + dur, w);
             }
         }
         // Wake waiters of this (domain, irq).
-        if let Some(list) = self.waiters.remove(&(dom, irq)) {
+        if let Some(list) = self.state.waiters.remove(&(dom, irq)) {
             for t in list {
                 self.wake(t, w);
             }
@@ -2220,31 +2085,28 @@ impl<W> Machine<W> {
     fn begin_busy(&mut self, core: CoreId, dur: SimDuration, w: &mut W) {
         let was = self.core_power_state(core);
         {
-            let rt = &mut self.cores[core.index()];
+            let rt = &mut self.state.cores[core.index()];
             rt.mode = CoreMode::Busy;
-            rt.meter.set_state(self.now, PowerState::Active);
+            rt.meter.set_state(self.state.now, PowerState::Active);
             rt.epoch += 1;
             let epoch = rt.epoch;
-            self.queue
-                .schedule(self.now + dur, Event::StepDone { core, epoch });
+            self.state
+                .queue
+                .schedule(self.state.now + dur, Event::StepDone { core, epoch });
         }
         if was != PowerState::Active {
             self.notify_power(core, PowerState::Active, w);
         }
     }
 
-    fn begin_busy_keep_running(&mut self, core: CoreId, dur: SimDuration, w: &mut W) {
-        self.begin_busy(core, dur, w);
-    }
-
     /// If `core` can start executing (it is idle or inactive with queued
     /// work), begin dispatching.
     fn kick(&mut self, core: CoreId, w: &mut W) {
-        match self.cores[core.index()].mode {
+        match self.state.cores[core.index()].mode {
             CoreMode::Busy => {}
             CoreMode::Idle => self.dispatch(core, w),
             CoreMode::Inactive => {
-                let wake = self.cores[core.index()].desc.power.wake_latency;
+                let wake = self.state.cores[core.index()].desc.power.wake_latency;
                 self.attribute(core, "wake", wake);
                 // Wake up, then dispatch from the StepDone.
                 self.begin_busy(core, wake, w);
@@ -2253,24 +2115,24 @@ impl<W> Machine<W> {
     }
 
     fn dispatch(&mut self, core: CoreId, w: &mut W) {
-        match self.cores[core.index()].rq.pop_front() {
+        match self.state.cores[core.index()].rq.pop_front() {
             Some(task) => {
-                self.trace.record(
-                    self.now,
+                self.state.trace.record(
+                    self.state.now,
                     TraceEvent::Task {
                         task: task.0,
                         start: true,
                     },
                 );
-                self.metrics.add_cached(
-                    &mut self.hot_ids.sched_dispatch[core.index()],
+                self.state.metrics.add_cached(
+                    &mut self.state.hot_ids.sched_dispatch[core.index()],
                     Key::new("sched.dispatch", Tag::Core(core.0)),
                     1,
                 );
                 self.note_runq(core);
-                self.cores[core.index()].woke_for_service = false;
-                self.cores[core.index()].task_activity_at = self.now;
-                self.cores[core.index()].running = Some(task);
+                self.state.cores[core.index()].woke_for_service = false;
+                self.state.cores[core.index()].task_activity_at = self.state.now;
+                self.state.cores[core.index()].running = Some(task);
                 if let Some(slot) = self.tasks[task.0 as usize].as_mut() {
                     slot.state = TaskState::Running;
                 }
@@ -2282,14 +2144,14 @@ impl<W> Machine<W> {
             }
             None => {
                 let was = self.core_power_state(core);
-                let rt = &mut self.cores[core.index()];
+                let rt = &mut self.state.cores[core.index()];
                 rt.running = None;
                 rt.epoch += 1;
                 if std::mem::take(&mut rt.woke_for_service) {
                     // Nothing to run after a service-only wake-up: drop
                     // straight back into the deep state.
                     rt.mode = CoreMode::Inactive;
-                    rt.meter.set_state(self.now, PowerState::Inactive);
+                    rt.meter.set_state(self.state.now, PowerState::Inactive);
                     if was != PowerState::Inactive {
                         self.notify_power(core, PowerState::Inactive, w);
                     }
@@ -2299,18 +2161,19 @@ impl<W> Machine<W> {
                 // that only serviced interrupts since then power-gates as
                 // soon as its queue drains past the deadline.
                 let deadline = rt.task_activity_at + rt.desc.power.inactive_timeout;
-                if deadline <= self.now {
+                if deadline <= self.state.now {
                     rt.mode = CoreMode::Inactive;
-                    rt.meter.set_state(self.now, PowerState::Inactive);
+                    rt.meter.set_state(self.state.now, PowerState::Inactive);
                     if was != PowerState::Inactive {
                         self.notify_power(core, PowerState::Inactive, w);
                     }
                     return;
                 }
                 rt.mode = CoreMode::Idle;
-                rt.meter.set_state(self.now, PowerState::Idle);
+                rt.meter.set_state(self.state.now, PowerState::Idle);
                 let epoch = rt.epoch;
-                self.queue
+                self.state
+                    .queue
                     .schedule(deadline, Event::InactiveTimeout { core, epoch });
                 if was != PowerState::Idle {
                     self.notify_power(core, PowerState::Idle, w);
@@ -2323,13 +2186,13 @@ impl<W> Machine<W> {
         // An injected stall (thermal throttle, invisible hypervisor) burns
         // active time on this core before the task's next step executes;
         // the pending step re-fires when the stall's busy period ends.
-        let stall = match &mut self.fault_plan {
-            Some(plan) => plan.core_stall(self.cores[core.index()].desc.domain),
+        let stall = match &mut self.state.fault_plan {
+            Some(plan) => plan.core_stall(self.state.cores[core.index()].desc.domain),
             None => None,
         };
         if let Some(dur) = stall {
-            self.trace.record(
-                self.now,
+            self.state.trace.record(
+                self.state.now,
                 TraceEvent::Fault {
                     kind: FaultClass::CoreStall.code(),
                     arg: core.0 as u32,
@@ -2339,7 +2202,7 @@ impl<W> Machine<W> {
             self.begin_busy(core, dur, w);
             return;
         }
-        self.cores[core.index()].task_activity_at = self.now;
+        self.state.cores[core.index()].task_activity_at = self.state.now;
         let mut boxed = {
             let slot = self.tasks[task.0 as usize]
                 .as_mut()
@@ -2349,8 +2212,8 @@ impl<W> Machine<W> {
         let cx = TaskCx {
             task,
             core,
-            domain: self.cores[core.index()].desc.domain,
-            now: self.now,
+            domain: self.state.cores[core.index()].desc.domain,
+            now: self.state.now,
         };
         let step = boxed.step(w, self, cx);
         // Put the body back (it may have been observed absent by wake()).
@@ -2359,7 +2222,7 @@ impl<W> Machine<W> {
         }
         match step {
             Step::Compute { cycles } => {
-                let dur = self.cores[core.index()].desc.cycles(cycles);
+                let dur = self.state.cores[core.index()].desc.cycles(cycles);
                 self.attribute(core, "task", dur);
                 self.begin_busy(core, dur, w);
             }
@@ -2369,14 +2232,15 @@ impl<W> Machine<W> {
             }
             Step::Sleep { dur } => {
                 self.park(core, task);
-                self.queue
-                    .schedule(self.now + dur, Event::TaskWake { task });
+                self.state
+                    .queue
+                    .schedule(self.state.now + dur, Event::TaskWake { task });
                 self.dispatch(core, w);
             }
             Step::WaitIrq { irq } => {
-                let dom = self.cores[core.index()].desc.domain;
+                let dom = self.state.cores[core.index()].desc.domain;
                 self.park(core, task);
-                self.waiters.entry((dom, irq)).or_default().push(task);
+                self.state.waiters.entry((dom, irq)).or_default().push(task);
                 self.dispatch(core, w);
             }
             Step::Block => {
@@ -2384,7 +2248,7 @@ impl<W> Machine<W> {
                 self.dispatch(core, w);
             }
             Step::Yield => {
-                let rt = &mut self.cores[core.index()];
+                let rt = &mut self.state.cores[core.index()];
                 rt.running = None;
                 rt.rq.push_back(task);
                 self.note_runq(core);
@@ -2394,24 +2258,24 @@ impl<W> Machine<W> {
                 self.dispatch(core, w);
             }
             Step::Done => {
-                self.trace.record(
-                    self.now,
+                self.state.trace.record(
+                    self.state.now,
                     TraceEvent::Task {
                         task: task.0,
                         start: false,
                     },
                 );
-                self.cores[core.index()].running = None;
+                self.state.cores[core.index()].running = None;
                 self.tasks[task.0 as usize] = None;
                 self.live_tasks -= 1;
-                self.completed_tasks += 1;
+                self.state.completed_tasks += 1;
                 self.dispatch(core, w);
             }
         }
     }
 
     fn park(&mut self, core: CoreId, task: TaskId) {
-        self.cores[core.index()].running = None;
+        self.state.cores[core.index()].running = None;
         if let Some(slot) = self.tasks[task.0 as usize].as_mut() {
             slot.state = TaskState::Parked;
         }
@@ -2423,8 +2287,8 @@ impl<W> Machine<W> {
             PowerState::Idle => 1,
             PowerState::Inactive => 2,
         };
-        self.trace.record(
-            self.now,
+        self.state.trace.record(
+            self.state.now,
             TraceEvent::Power {
                 core: core.0,
                 state: code,
@@ -2727,7 +2591,7 @@ mod tests {
         let mut w = World::default();
         let mut m = machine();
         m.irq_unmask(DomainId::STRONG, IrqId::DMA, &mut w);
-        m.ram.write(crate::mem::PhysAddr(0x1000), b"payload!");
+        m.ram_mut().write(crate::mem::PhysAddr(0x1000), b"payload!");
         struct Driver {
             state: u8,
         }
@@ -2747,7 +2611,7 @@ mod tests {
                         let done = m.dma_take_completions();
                         assert_eq!(done.len(), 1);
                         let mut buf = [0u8; 8];
-                        m.ram.read(crate::mem::PhysAddr(0x8000), &mut buf);
+                        m.ram().read(crate::mem::PhysAddr(0x8000), &mut buf);
                         assert_eq!(&buf, b"payload!");
                         w.log.push((0, "copied"));
                         Step::Done
@@ -3041,5 +2905,32 @@ mod tests {
         let e = m.domain_energy_mj(DomainId::WEAK);
         // 1 s active at 21.1 mW + 1 s idle at 3.8 mW.
         assert!((e - (21.1 + 3.8)).abs() < 0.2, "e={e}");
+    }
+
+    #[test]
+    fn digests_fold_irq_waiters_and_inflight_dma_in_key_order() {
+        // Waiters parked on four (domain, irq) keys, spawned out of key
+        // order, and three DMA transfers in flight: the pinned values
+        // hold the fold to key order over both tables.
+        let mut w = World::default();
+        let mut m = machine();
+        for (core, irq) in [
+            (CoreId(2), IrqId::MBOX_D1),
+            (CoreId(0), IrqId::NET),
+            (CoreId(1), IrqId::BLOCK),
+            (CoreId(0), IrqId::DMA),
+        ] {
+            m.spawn(core, Script::new("w", vec![Step::WaitIrq { irq }]), &mut w);
+        }
+        m.run_until(SimTime::ZERO + SimDuration::from_us(5), &mut w);
+        for i in 0..3 {
+            let page = crate::mem::PhysAddr(0x1000 * i);
+            m.dma_submit(page, page.offset(0x10_0000), 4096);
+        }
+        assert_eq!(m.live_tasks(), 4);
+        assert_eq!(m.state.waiters.len(), 4);
+        assert_eq!(m.state.dma_inflight.len(), 3);
+        assert_eq!(m.state_digest(), 0x7959_28bc_5822_864d);
+        assert_eq!(m.sim_digest(), 0x1a98_e1e0_3091_92fe);
     }
 }

@@ -90,8 +90,7 @@ pub fn golden_run(scenario: GoldenScenario, seed: u64) -> (K2Machine, K2System) 
 ///
 /// Golden runs keep the boot-time default full span sink — the blessed
 /// files pin its exact span counts — and render through the streaming
-/// writer, whose byte contract with the tree renderer keeps the blessed
-/// files stable.
+/// report writer, the one renderer the blessed files pin byte for byte.
 pub fn golden_report(scenario: GoldenScenario, seed: u64) -> String {
     let (m, sys) = golden_run(scenario, seed);
     let mut out = String::new();

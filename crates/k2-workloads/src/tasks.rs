@@ -127,7 +127,7 @@ impl Task<K2System> for DmaBenchTask {
             let src = src_pfn.base();
             let dst = dst_pfn.base();
             let pattern: Vec<u8> = (0..self.batch).map(|i| (i % 251) as u8).collect();
-            m.ram.write(src, &pattern);
+            m.ram_mut().write(src, &pattern);
             self.buffers = Some((src, dst, vec![src_pfn, dst_pfn]));
             return Step::ComputeTime { dur: d1 + d2 };
         }
