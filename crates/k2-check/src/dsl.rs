@@ -52,9 +52,9 @@ use k2_sim::explore::ScheduleChooser;
 use k2_soc::ids::{DomainId, IrqId};
 use k2_soc::mailbox::Mail;
 use k2_workloads::harness::{GridRow, TestSystem, Workload};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A parse or validation rejection, anchored to a 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -545,20 +545,23 @@ impl CompiledScenario {
     /// file order, then the pulse tasks, then run-to-idle.
     fn drive(&self, t: &mut TestSystem) -> Vec<(String, String)> {
         let grid_handles = t.spawn_grid(&self.rows);
-        let mut hook_cells: Vec<(String, Rc<RefCell<u32>>)> = Vec::new();
+        // Hook cells are atomics because the hook must be `Send`. The
+        // value publishes no other data and is read after the run on
+        // this thread, so `Relaxed` suffices.
+        let mut hook_cells: Vec<(String, Arc<AtomicU32>)> = Vec::new();
         for step in &self.steps {
             match step {
                 StepDef::HookLastWins { domain, metric } => {
                     let dom = *domain;
-                    let last = Rc::new(RefCell::new(0u32));
-                    let cell = last.clone();
+                    let last = Arc::new(AtomicU32::new(0));
+                    let cell = Arc::clone(&last);
                     t.m.set_irq_hook(
                         dom,
                         IrqId::mailbox_for(dom),
                         Box::new(move |_w: &mut K2System, m: &mut K2Machine, _cx| {
                             let mut cycles = 0u64;
                             while let Some(env) = m.mailbox_recv(dom) {
-                                *cell.borrow_mut() = env.mail.0;
+                                cell.store(env.mail.0, Ordering::Relaxed);
                                 cycles += 120;
                             }
                             cycles
@@ -576,12 +579,12 @@ impl CompiledScenario {
         let mut extras: Vec<(String, String)> = grid_handles
             .into_iter()
             .map(|(metric, r)| {
-                let bytes = r.borrow().bytes;
+                let bytes = r.lock().expect("report lock poisoned").bytes;
                 (metric, bytes.to_string())
             })
             .collect();
         for (metric, cell) in hook_cells {
-            let last = *cell.borrow();
+            let last = cell.load(Ordering::Relaxed);
             extras.push((metric, format!("{last:08x}")));
         }
         extras

@@ -1,10 +1,9 @@
-//! Fleet-scale sharded simulation: N machines, one simulated network.
+//! Fleet-scale simulation: N machines, one simulated network.
 //!
 //! One `Machine` is one phone; a fleet is thousands of them talking
-//! through a single [`NetFabric`]. This module shards the machines
-//! across long-lived worker threads and advances the whole fleet in
-//! bounded *time epochs*, keeping the run end-to-end deterministic for
-//! any worker count (DESIGN.md §5.9):
+//! through a single [`NetFabric`]. The coordinator owns every machine
+//! and advances the whole fleet in bounded *time epochs*, keeping the
+//! run end-to-end deterministic for any worker count (DESIGN.md §5.9):
 //!
 //! * **Instantiation is fork, not boot.** The fleet boots *one* machine,
 //!   runs a warm-up workload that performs the common per-machine setup
@@ -14,23 +13,24 @@
 //!   machine instead of ~144 µs of boot + setup (EXPERIMENTS.md, fleet
 //!   tables; perfbench's `fork.us` and `snapshot.freeze_ms` track both
 //!   sides today).
-//! * **Shards are contiguous, workers own them.** Machines are `!Send`
-//!   (their boxed tasks, interrupt hooks and schedule chooser carry no
-//!   `Send` bound), so each worker thread forks and
-//!   owns a contiguous chunk of machine indices for the whole run.
-//!   Concatenating shard outputs in shard order therefore *is* the
-//!   global machine-index order — the same strict ordered-merge trick
-//!   the explorer uses, with the index claiming done statically.
-//! * **Epochs are the only synchronisation.** Per epoch the coordinator
-//!   hands each worker the datagrams due in its machines (pre-sorted by
-//!   `(arrival, seq)`), the worker injects them and runs every machine
-//!   to the epoch boundary, and the coordinator routes the merged
-//!   egress through the fabric in machine-index order. Fabric RNG is
-//!   consumed only by the coordinator, in that deterministic order, so
-//!   reports and digests are byte-identical at any `K2CHECK_THREADS`.
-//! * **The hot loop does not allocate per machine.** Delivery and
-//!   egress buffers ride the epoch channels both ways and are recycled;
-//!   fleet metrics are interned once and bumped by id.
+//! * **The coordinator owns the machines.** Machines are `Send` (their
+//!   tasks, hooks and chooser carry a `Send` bound), so the coordinator
+//!   keeps them in one `Vec` in machine-index order. Each epoch it
+//!   injects the datagrams due (sorted by `(arrival, seq)`), runs
+//!   contiguous chunks of machines to the epoch boundary on scoped
+//!   threads (the first chunk on the coordinator's own thread, so one
+//!   worker spawns none), then makes one pass in machine-index order
+//!   that samples the timeline and routes every machine's egress
+//!   through the fabric.
+//! * **One determinism argument.** Machines share no state within an
+//!   epoch, so how they are grouped onto threads cannot change what any
+//!   of them does; everything that crosses machines — sampling, fabric
+//!   routing and its RNG, digests, the trace document — happens on the
+//!   coordinator in machine-index order. Reports and digests are
+//!   byte-identical at any `K2CHECK_THREADS`.
+//! * **The hot loop does not allocate per machine.** The delivery and
+//!   egress buffers are reused every epoch; fleet metrics are interned
+//!   once and bumped by id.
 //!
 //! The canonical workload is the *sync storm* (`scenarios/
 //! sync-storm.k2.md`): a small number of hub machines answer periodic
@@ -39,10 +39,10 @@
 
 use crate::explorer::resolve_workers;
 use k2::system::{self, shadowed, K2Machine, K2System, SystemConfig, SystemSnapshot};
-use k2_kernel::net::{EgressDatagram, InFlight, MachineAddr, NetFabric, Port};
+use k2_kernel::net::{MachineAddr, NetFabric, Port, Route};
 use k2_kernel::service::ServiceId;
 use k2_sim::digest::Fnv64;
-use k2_sim::export::{assemble_trace, ChromeTraceWriter};
+use k2_sim::export::ChromeTraceWriter;
 use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, Key, Registry, Tag};
 use k2_sim::rng::SimRng;
@@ -52,7 +52,6 @@ use k2_sim::time::{SimDuration, SimTime};
 use k2_soc::ids::DomainId;
 use k2_soc::platform::{Step, Task, TaskCx};
 use std::fmt::Write as _;
-use std::sync::mpsc;
 
 /// The well-known port every hub listens on.
 pub const HUB_PORT: Port = Port(4433);
@@ -464,70 +463,11 @@ pub fn warmed_snapshot() -> SystemSnapshot {
 }
 
 // ----------------------------------------------------------------------
-// Fleet driver
-// ----------------------------------------------------------------------
-
-/// Epoch command to a shard worker. Buffers ride along and come back in
-/// [`EpochOut`] so the steady-state loop never allocates.
-enum Cmd {
-    /// Inject `deliveries` (pre-sorted by `(arrival, seq)`, all due in
-    /// this shard's machines) and run every machine to `until`.
-    Epoch {
-        until: SimTime,
-        deliveries: Vec<InFlight>,
-        egress: Vec<(u32, EgressDatagram)>,
-    },
-    /// Digest and report every machine (rendering its trace fragment
-    /// when asked), then exit.
-    Finish { collect_trace: bool },
-}
-
-/// A shard's answer to [`Cmd::Epoch`].
-struct EpochOut {
-    /// Outbound datagrams tagged with global machine index, appended in
-    /// machine-index order (shards are contiguous, so concatenating
-    /// shard vectors in shard order is the global order).
-    egress: Vec<(u32, EgressDatagram)>,
-    /// The (now drained) delivery buffer, returned for recycling.
-    deliveries: Vec<InFlight>,
-    /// Machine events processed during this epoch.
-    events: u64,
-    /// Sum over the shard's machines of their epoch-end mail + net
-    /// backlog (pending mailbox envelopes plus undelivered NET irqs).
-    backlog_sum: u64,
-    /// The largest single-machine backlog in the shard this epoch
-    /// (max is associative, so the fleet max is worker-invariant).
-    backlog_max: u64,
-    /// Cumulative shard energy at the epoch boundary, in integer
-    /// microjoules — integers sum associatively, so the fleet series is
-    /// byte-identical for any worker count (f64 sums would not be).
-    energy_uj: u64,
-}
-
-/// A shard's answer to [`Cmd::Finish`].
-struct FinalOut {
-    /// Per-machine digests, in machine-index order.
-    digests: Vec<u64>,
-    /// Sum of `fleet.acks` over the shard's devices.
-    acks: u64,
-    /// Sum of `fleet.dev_sent` over the shard's devices.
-    sent: u64,
-    /// Sum of `fleet.hub_handled` over the shard's hubs.
-    hub_handled: u64,
-    /// Per-machine peak epoch backlog, machine-index order (the
-    /// straggler detector's input).
-    peak_backlogs: Vec<u64>,
-    /// Per-machine rendered trace fragments, machine-index order; empty
-    /// unless the finish asked for a trace.
-    trace_fragments: Vec<String>,
-}
-
-// ----------------------------------------------------------------------
 // Telemetry timeline
 // ----------------------------------------------------------------------
 
 /// Fleet-wide samples taken at one epoch boundary. All integers (energy
-/// in µJ) so aggregation is associative and worker-count-invariant.
+/// in µJ), summed in machine-index order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochSample {
     /// Machine events processed during the epoch.
@@ -750,8 +690,6 @@ fn find_stragglers(peaks: &[u64]) -> (u64, u64, Vec<Straggler>) {
 pub struct FleetReport {
     /// Machines simulated (hubs + devices).
     pub machines: u32,
-    /// Worker threads used.
-    pub workers: usize,
     /// Epochs advanced.
     pub epochs: u32,
     /// Simulated horizon covered.
@@ -795,11 +733,7 @@ impl FleetReport {
     /// Renders the deterministic text report (the CI artifact).
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "fleet: {} machines, {} workers",
-            self.machines, self.workers
-        );
+        let _ = writeln!(s, "fleet: {} machines", self.machines);
         let _ = writeln!(
             s,
             "schedule: {} epochs, {} ns horizon",
@@ -869,153 +803,95 @@ impl FleetReport {
     }
 }
 
-/// One worker's run: fork and own a contiguous chunk of machines, then
-/// serve epoch commands until told to finish.
-fn shard_worker(
-    spec: &FleetSpec,
-    snap: &SystemSnapshot,
-    base: u32,
-    count: u32,
-    cmds: mpsc::Receiver<Cmd>,
-    out: mpsc::Sender<EpochOut>,
-    fin: mpsc::Sender<FinalOut>,
-) {
-    let hubs = spec.hubs;
-    let total = spec.machines();
-    let mut machines: Vec<(K2Machine, K2System)> = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        let global = base + i;
-        let (mut m, mut sys) = K2System::fork(snap);
-        // The warmed image carries the boot default (full sink); every
-        // fleet member switches to the spec's sink, which discards the
-        // warm-up spans — fleet traces start at the fork point.
-        m.set_span_sink(spec.sink);
-        if global < hubs {
-            let core = K2System::kernel_core(&m, DomainId::STRONG);
-            m.spawn(
-                core,
-                Box::new(HubTask {
-                    addr: global as u16,
-                    port: None,
-                    handled_id: None,
-                }),
-                &mut sys,
-            );
-        } else {
-            let dev = global - hubs;
-            let mut rng = SimRng::seed_from_stream(spec.seed, u64::from(global));
-            let stagger = SimDuration::from_ns(rng.gen_range(spec.period.as_ns().max(1)));
-            let core = K2System::kernel_core(&m, DomainId::WEAK);
-            m.spawn(
-                core,
-                Box::new(DeviceTask {
-                    addr: global as u16,
-                    hub: MachineAddr((dev % hubs) as u16),
-                    fleet_size: total,
-                    burst: spec.burst,
-                    rounds_left: spec.bursts,
-                    period: spec.period,
-                    stagger,
-                    stray_every: spec.stray_every,
-                    sent_seq: 0,
-                    port: None,
-                    pending_sleep: None,
-                    finishing: false,
-                    acks_id: None,
-                    sent_id: None,
-                    buf: Vec::with_capacity(DGRAM),
-                }),
-                &mut sys,
-            );
-        }
-        machines.push((m, sys));
+// ----------------------------------------------------------------------
+// Fleet coordinator
+// ----------------------------------------------------------------------
+
+/// One fleet member: a forked machine, its world, and the largest
+/// epoch-boundary backlog it has reached (the straggler detector's input).
+struct Member {
+    m: K2Machine,
+    sys: K2System,
+    peak_backlog: u64,
+}
+
+/// Forks fleet machine `index` from `snap` and spawns its workload: a
+/// hub below `spec.hubs`, a device from there on.
+fn fork_member(spec: &FleetSpec, snap: &SystemSnapshot, index: u32) -> Member {
+    let (mut m, mut sys) = K2System::fork(snap);
+    // The warmed image carries the boot default (full sink); every
+    // fleet member switches to the spec's sink, which discards the
+    // warm-up spans — fleet traces start at the fork point.
+    m.set_span_sink(spec.sink);
+    if index < spec.hubs {
+        let core = K2System::kernel_core(&m, DomainId::STRONG);
+        m.spawn(
+            core,
+            Box::new(HubTask {
+                addr: index as u16,
+                port: None,
+                handled_id: None,
+            }),
+            &mut sys,
+        );
+    } else {
+        let dev = index - spec.hubs;
+        let mut rng = SimRng::seed_from_stream(spec.seed, u64::from(index));
+        let stagger = SimDuration::from_ns(rng.gen_range(spec.period.as_ns().max(1)));
+        let core = K2System::kernel_core(&m, DomainId::WEAK);
+        m.spawn(
+            core,
+            Box::new(DeviceTask {
+                addr: index as u16,
+                hub: MachineAddr((dev % spec.hubs) as u16),
+                fleet_size: spec.machines(),
+                burst: spec.burst,
+                rounds_left: spec.bursts,
+                period: spec.period,
+                stagger,
+                stray_every: spec.stray_every,
+                sent_seq: 0,
+                port: None,
+                pending_sleep: None,
+                finishing: false,
+                acks_id: None,
+                sent_id: None,
+                buf: Vec::with_capacity(DGRAM),
+            }),
+            &mut sys,
+        );
     }
-    let mut now = snap.now();
-    let mut scratch: Vec<EgressDatagram> = Vec::new();
-    let mut prev_events: u64 = machines.iter().map(|(m, _)| m.events_processed()).sum();
-    let mut peak_backlogs: Vec<u64> = vec![0; machines.len()];
-    while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            Cmd::Epoch {
-                until,
-                mut deliveries,
-                mut egress,
-            } => {
-                for d in deliveries.drain(..) {
-                    let local = (d.dst.0 as u32 - base) as usize;
-                    let (m, sys) = &mut machines[local];
-                    let rtt = d.arrival.saturating_since(now);
-                    system::net_expect_reply_traced(
-                        sys, m, d.dst_port, d.src_port, d.payload, d.trace, rtt,
-                    );
-                }
-                let (mut backlog_sum, mut backlog_max, mut energy_uj) = (0u64, 0u64, 0u64);
-                for (i, (m, sys)) in machines.iter_mut().enumerate() {
-                    m.run_until(until, sys);
-                    system::net_drain_egress(sys, &mut scratch);
-                    for dg in scratch.drain(..) {
-                        egress.push((base + i as u32, dg));
-                    }
-                    let backlog = m.mailbox_pending_total() + system::net_backlog(sys) as u64;
-                    backlog_sum += backlog;
-                    backlog_max = backlog_max.max(backlog);
-                    peak_backlogs[i] = peak_backlogs[i].max(backlog);
-                    // Integer µJ so the fleet sum is associative.
-                    energy_uj += (m.total_energy_mj() * 1_000.0).round() as u64;
-                }
-                now = until;
-                let total_events: u64 = machines.iter().map(|(m, _)| m.events_processed()).sum();
-                let events = total_events - prev_events;
-                prev_events = total_events;
-                let _ = out.send(EpochOut {
-                    egress,
-                    deliveries,
-                    events,
-                    backlog_sum,
-                    backlog_max,
-                    energy_uj,
-                });
-            }
-            Cmd::Finish { collect_trace } => {
-                let mut digests = Vec::with_capacity(machines.len());
-                let mut trace_fragments = Vec::new();
-                let (mut acks, mut sent, mut hub_handled) = (0u64, 0u64, 0u64);
-                for (i, (m, sys)) in machines.iter().enumerate() {
-                    let mut h = Fnv64::new();
-                    h.u64(m.sim_digest());
-                    sys.digest_into(&mut h);
-                    digests.push(h.finish());
-                    let reg = m.metrics();
-                    acks += reg.counter(Key::new(DEV_ACKS, Tag::Whole));
-                    sent += reg.counter(Key::new(DEV_SENT, Tag::Whole));
-                    hub_handled += reg.counter(Key::new(HUB_HANDLED, Tag::Whole));
-                    if collect_trace {
-                        let mut frag = String::new();
-                        let mut w = ChromeTraceWriter::fragment(&mut frag);
-                        m.chrome_trace_into(&mut w, u64::from(base + i as u32));
-                        w.finish_fragment();
-                        trace_fragments.push(frag);
-                    }
-                }
-                let _ = fin.send(FinalOut {
-                    digests,
-                    acks,
-                    sent,
-                    hub_handled,
-                    peak_backlogs,
-                    trace_fragments,
-                });
-                return;
-            }
-        }
+    Member {
+        m,
+        sys,
+        peak_backlog: 0,
     }
+}
+
+/// Runs every member to `until`, in contiguous chunks of `chunk`
+/// machines, one scoped thread per chunk. The first chunk runs on the
+/// calling thread, so a one-chunk fleet spawns no thread at all.
+fn advance(members: &mut [Member], chunk: usize, until: SimTime) {
+    let run = |c: &mut [Member]| {
+        for mb in c {
+            mb.m.run_until(until, &mut mb.sys);
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = members.chunks_mut(chunk);
+        let first = chunks.next().expect("a fleet has machines");
+        for c in chunks {
+            scope.spawn(move || run(c));
+        }
+        run(first);
+    });
 }
 
 /// Runs the fleet described by `spec` and returns its report.
 ///
-/// Forks every machine from one warmed snapshot, shards them over
-/// worker threads, and advances the fleet epoch by epoch. The report
-/// (digest included) is byte-identical for any worker count.
+/// Forks every machine from one warmed snapshot and advances the fleet
+/// epoch by epoch, running chunks of machines on worker threads. The
+/// report (digest included) is byte-identical for any worker count.
 pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     let snap = warmed_snapshot();
     run_fleet_from(spec, &snap)
@@ -1029,10 +905,10 @@ pub fn run_fleet_from(spec: &FleetSpec, snap: &SystemSnapshot) -> FleetReport {
 
 /// [`run_fleet_from`] that additionally collects the fleet trace: every
 /// machine's spans rendered into one Perfetto-loadable Chrome trace
-/// document, per-machine fragments merged in machine-index order (so
-/// the document is byte-identical for any worker count). Meaningful
-/// only when `spec.sink` retains spans — under
-/// [`SinkMode::Disabled`] the document contains no events.
+/// document by one writer, in machine-index order (so the document is
+/// byte-identical for any worker count). Meaningful only when
+/// `spec.sink` retains spans — under [`SinkMode::Disabled`] the
+/// document contains no events.
 pub fn run_fleet_traced(spec: &FleetSpec, snap: &SystemSnapshot) -> (FleetReport, String) {
     let (report, trace) = run_fleet_inner(spec, snap, true);
     (report, trace.expect("trace requested"))
@@ -1047,9 +923,8 @@ fn run_fleet_inner(
         panic!("invalid fleet spec: {e}");
     }
     let total = spec.machines();
-    let workers = resolve_workers(spec.workers, total);
-    let chunk = total.div_ceil(workers.min(total as usize) as u32);
-    let shards = total.div_ceil(chunk) as usize;
+    let chunk = (total as usize).div_ceil(resolve_workers(spec.workers, total));
+    let mut members: Vec<Member> = (0..total).map(|i| fork_member(spec, snap, i)).collect();
 
     let mut fabric = NetFabric::builder(spec.seed, total)
         .latency(spec.latency_min, spec.latency_max)
@@ -1066,127 +941,89 @@ fn run_fleet_inner(
     // name because the pinned sim digest folds the registry in.
     let queued_id = reg.counter_id(Key::new("fleet.delivered", Tag::Whole));
 
-    let mut bounds = Vec::with_capacity(shards);
-    for s in 0..shards as u32 {
-        let base = s * chunk;
-        let count = chunk.min(total - base);
-        bounds.push((base, count));
-    }
-
-    let t0 = snap.now();
     let mut events_total = 0u64;
     let mut samples: Vec<EpochSample> = Vec::with_capacity(spec.epochs as usize);
-    // Trace-context digest: folded by the coordinator alone, in the
-    // same deterministic order the fabric RNG is consumed, so it is
-    // worker-count-invariant by the same argument as the sim digest.
+    // Trace-context digest: folded in the same machine-index pass that
+    // consumes the fabric RNG, so it is worker-count-invariant by the
+    // same argument as the sim digest.
     let mut th = Fnv64::new();
-    let (digests, acks, sent, hub_handled, peaks, fragments) = {
-        let mut cmd_txs = Vec::with_capacity(shards);
-        let mut out_rxs = Vec::with_capacity(shards);
-        let mut fin_rxs = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            for &(base, count) in &bounds {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let (out_tx, out_rx) = mpsc::channel::<EpochOut>();
-                let (fin_tx, fin_rx) = mpsc::channel::<FinalOut>();
-                cmd_txs.push(cmd_tx);
-                out_rxs.push(out_rx);
-                fin_rxs.push(fin_rx);
-                scope.spawn(move || {
-                    shard_worker(spec, snap, base, count, cmd_rx, out_tx, fin_tx);
-                });
-            }
-
-            // Recycled buffers: per-shard delivery and egress vectors
-            // round-trip through the channels; `due` is drained into the
-            // delivery vectors each epoch.
-            let mut due: Vec<InFlight> = Vec::new();
-            let mut delivery_bufs: Vec<Vec<InFlight>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut egress_bufs: Vec<Vec<(u32, EgressDatagram)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-
-            let mut now = t0;
-            for _ in 0..spec.epochs {
-                let until = now + spec.epoch;
-                let (drop0, reord0) = (fabric.stats().dropped, fabric.stats().reordered);
-                // Deliveries due this epoch, pre-sorted by (arrival, seq);
-                // appending in order keeps each shard's slice sorted.
-                fabric.take_due(until, &mut due);
-                for d in due.drain(..) {
-                    th.u64(d.arrival.as_ns())
-                        .u64(d.seq)
-                        .u64(d.trace.trace_id)
-                        .u64(d.trace.parent);
-                    let shard = (u32::from(d.dst.0) / chunk) as usize;
-                    delivery_bufs[shard].push(d);
+    let mut due = Vec::new();
+    let mut egress = Vec::new();
+    let mut prev_events: u64 = members.iter().map(|mb| mb.m.events_processed()).sum();
+    let mut now = snap.now();
+    for _ in 0..spec.epochs {
+        let until = now + spec.epoch;
+        let (drop0, reord0) = (fabric.stats().dropped, fabric.stats().reordered);
+        // Deliveries due this epoch, sorted by (arrival, seq), so each
+        // machine's NET IRQs are raised in a reproducible order.
+        fabric.take_due(until, &mut due);
+        for d in due.drain(..) {
+            th.u64(d.arrival.as_ns())
+                .u64(d.seq)
+                .u64(d.trace.trace_id)
+                .u64(d.trace.parent);
+            let mb = &mut members[usize::from(d.dst.0)];
+            let rtt = d.arrival.saturating_since(now);
+            system::net_expect_reply_traced(
+                &mut mb.sys,
+                &mut mb.m,
+                d.dst_port,
+                d.src_port,
+                d.payload,
+                d.trace,
+                rtt,
+            );
+        }
+        advance(&mut members, chunk, until);
+        // The one machine-index pass: sample, then route each machine's
+        // egress, so the fabric RNG is consumed in a fixed order.
+        let mut sample = EpochSample::default();
+        let mut events = 0u64;
+        for (i, mb) in members.iter_mut().enumerate() {
+            events += mb.m.events_processed();
+            let backlog = mb.m.mailbox_pending_total() + system::net_backlog(&mb.sys) as u64;
+            sample.backlog += backlog;
+            sample.backlog_max = sample.backlog_max.max(backlog);
+            mb.peak_backlog = mb.peak_backlog.max(backlog);
+            // Integer µJ, so the timeline holds no float sums.
+            sample.energy_uj += (mb.m.total_energy_mj() * 1_000.0).round() as u64;
+            let src = MachineAddr(i as u16);
+            system::net_drain_egress(&mut mb.sys, &mut egress);
+            for dg in egress.drain(..) {
+                sample.egress += 1;
+                th.u32(i as u32).u64(dg.trace.trace_id).u64(dg.trace.parent);
+                if let Route::Queued(_) = fabric.route(until, src, dg) {
+                    sample.queued += 1;
                 }
-                for (s, tx) in cmd_txs.iter().enumerate() {
-                    tx.send(Cmd::Epoch {
-                        until,
-                        deliveries: std::mem::take(&mut delivery_bufs[s]),
-                        egress: std::mem::take(&mut egress_bufs[s]),
-                    })
-                    .expect("worker alive");
-                }
-                // Strict ordered merge: receive shard outputs in shard
-                // order; contiguous shards make that machine-index order,
-                // so the fabric RNG is consumed deterministically.
-                let mut sample = EpochSample::default();
-                for (s, rx) in out_rxs.iter().enumerate() {
-                    let mut o = rx.recv().expect("worker alive");
-                    sample.events += o.events;
-                    sample.backlog += o.backlog_sum;
-                    sample.backlog_max = sample.backlog_max.max(o.backlog_max);
-                    sample.energy_uj += o.energy_uj;
-                    for (src, dg) in o.egress.drain(..) {
-                        sample.egress += 1;
-                        th.u32(src).u64(dg.trace.trace_id).u64(dg.trace.parent);
-                        if let k2_kernel::net::Route::Queued(_) =
-                            fabric.route(until, MachineAddr(src as u16), dg)
-                        {
-                            sample.queued += 1;
-                        }
-                    }
-                    delivery_bufs[s] = o.deliveries;
-                    egress_bufs[s] = o.egress;
-                }
-                sample.dropped = fabric.stats().dropped - drop0;
-                sample.reordered = fabric.stats().reordered - reord0;
-                sample.in_flight = fabric.in_flight() as u64;
-                reg.add_by_id(epochs_id, 1);
-                reg.add_by_id(events_id, sample.events);
-                reg.add_by_id(egress_id, sample.egress);
-                reg.add_by_id(queued_id, sample.queued);
-                events_total += sample.events;
-                samples.push(sample);
-                now = until;
             }
-            for tx in &cmd_txs {
-                tx.send(Cmd::Finish { collect_trace })
-                    .expect("worker alive");
-            }
-            let mut all_digests = Vec::with_capacity(total as usize);
-            let mut all_peaks = Vec::with_capacity(total as usize);
-            let mut all_fragments = Vec::new();
-            let (mut a, mut s_, mut hh) = (0u64, 0u64, 0u64);
-            for rx in &fin_rxs {
-                let f = rx.recv().expect("worker alive");
-                all_digests.extend_from_slice(&f.digests);
-                all_peaks.extend_from_slice(&f.peak_backlogs);
-                all_fragments.extend(f.trace_fragments);
-                a += f.acks;
-                s_ += f.sent;
-                hh += f.hub_handled;
-            }
-            (all_digests, a, s_, hh, all_peaks, all_fragments)
-        })
-    };
-
-    let stats = fabric.stats().clone();
-    let mut h = Fnv64::new();
-    for &d in &digests {
-        h.u64(d);
+        }
+        sample.events = events - prev_events;
+        prev_events = events;
+        sample.dropped = fabric.stats().dropped - drop0;
+        sample.reordered = fabric.stats().reordered - reord0;
+        sample.in_flight = fabric.in_flight() as u64;
+        reg.add_by_id(epochs_id, 1);
+        reg.add_by_id(events_id, sample.events);
+        reg.add_by_id(egress_id, sample.egress);
+        reg.add_by_id(queued_id, sample.queued);
+        events_total += sample.events;
+        samples.push(sample);
+        now = until;
     }
+
+    let (mut acks, mut sent, mut hub_handled) = (0u64, 0u64, 0u64);
+    let mut h = Fnv64::new();
+    for mb in &members {
+        let mut mh = Fnv64::new();
+        mh.u64(mb.m.sim_digest());
+        mb.sys.digest_into(&mut mh);
+        h.u64(mh.finish());
+        let reg = mb.m.metrics();
+        acks += reg.counter(Key::new(DEV_ACKS, Tag::Whole));
+        sent += reg.counter(Key::new(DEV_SENT, Tag::Whole));
+        hub_handled += reg.counter(Key::new(HUB_HANDLED, Tag::Whole));
+    }
+    let stats = fabric.stats().clone();
     reg.digest_into(&mut h);
     h.u64(stats.routed)
         .u64(stats.delivered)
@@ -1196,6 +1033,7 @@ fn run_fleet_inner(
         .u64(stats.delivered_bytes)
         .usize(fabric.in_flight());
 
+    let peaks: Vec<u64> = members.iter().map(|mb| mb.peak_backlog).collect();
     let (backlog_median, backlog_mad, stragglers) = find_stragglers(&peaks);
     let timeline = FleetTimeline {
         epoch_ns: spec.epoch.as_ns(),
@@ -1204,12 +1042,19 @@ fn run_fleet_inner(
         backlog_mad,
         stragglers,
     };
-    let trace = collect_trace.then(|| assemble_trace(&fragments));
+    let trace = collect_trace.then(|| {
+        let mut out = String::new();
+        let mut w = ChromeTraceWriter::new(&mut out);
+        for (i, mb) in members.iter().enumerate() {
+            mb.m.chrome_trace_into(&mut w, i as u64);
+        }
+        w.finish();
+        out
+    });
 
     (
         FleetReport {
             machines: total,
-            workers: shards,
             epochs: spec.epochs,
             horizon: SimDuration::from_ns(spec.epoch.as_ns() * u64::from(spec.epochs)),
             events: events_total,
@@ -1252,15 +1097,7 @@ mod tests {
             let parallel = run_fleet_from(&spec, &snap);
             assert_eq!(serial.digest, parallel.digest, "workers={workers}");
             assert_eq!(serial.events, parallel.events);
-            assert_eq!(serial.render(), {
-                let mut r = parallel.render();
-                // Only the worker count may differ between renders.
-                r = r.replace(
-                    &format!("{} workers", parallel.workers),
-                    &format!("{} workers", serial.workers),
-                );
-                r
-            });
+            assert_eq!(serial.render(), parallel.render(), "workers={workers}");
         }
     }
 

@@ -15,11 +15,13 @@
 use crate::schedule::Schedule;
 use k2_sim::explore::{ChoicePoint, EventClass, ScheduleChooser};
 use k2_sim::rng::SimRng;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// A strategy for resolving co-enabled event orderings.
-pub trait SchedulePolicy {
+///
+/// `Send` because the chooser wrapping it is installed on a machine,
+/// and machines move between threads.
+pub trait SchedulePolicy: Send {
     /// Picks which of the tied events fires first. Out-of-range answers
     /// are clamped to the last index by the chooser wrapper.
     fn choose(&mut self, cp: &ChoicePoint<'_>) -> u32;
@@ -224,8 +226,9 @@ pub fn chooser_of(mut policy: Box<dyn SchedulePolicy>) -> ScheduleChooser {
 /// can be reproduced from the resulting [`Schedule`] token alone.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    log: Rc<RefCell<Vec<u32>>>,
-    classes: Rc<RefCell<Vec<(EventClass, u32)>>>,
+    /// `(decision, class fired, arity)` per choice point. Shared with the
+    /// chooser, which runs on whichever thread owns the machine.
+    log: Arc<Mutex<Vec<(u32, EventClass, u32)>>>,
 }
 
 impl Recorder {
@@ -238,28 +241,30 @@ impl Recorder {
     /// plus the chosen event's class and the co-enabled arity (the
     /// class-projected trace schedule fingerprints hash).
     pub fn chooser(&self, mut policy: Box<dyn SchedulePolicy>) -> ScheduleChooser {
-        let log = self.log.clone();
-        let classes = self.classes.clone();
+        let log = Arc::clone(&self.log);
         Box::new(move |cp: &ChoicePoint<'_>| {
             let limit = cp.classes.len() - 1;
             let d = (policy.choose(cp) as usize).min(limit);
-            log.borrow_mut().push(d as u32);
-            classes
-                .borrow_mut()
-                .push((cp.classes[d], cp.classes.len() as u32));
+            log.lock().expect("recorder log poisoned").push((
+                d as u32,
+                cp.classes[d],
+                cp.classes.len() as u32,
+            ));
             d
         })
     }
 
     /// The schedule recorded so far.
     pub fn schedule(&self) -> Schedule {
-        Schedule::from_decisions(self.log.borrow().clone())
+        let log = self.log.lock().expect("recorder log poisoned");
+        Schedule::from_decisions(log.iter().map(|&(d, _, _)| d).collect())
     }
 
     /// The class-projected trace recorded so far: `(class fired, arity)`
     /// per choice point — the first fingerprint component.
     pub fn class_trace(&self) -> Vec<(EventClass, u32)> {
-        self.classes.borrow().clone()
+        let log = self.log.lock().expect("recorder log poisoned");
+        log.iter().map(|&(_, c, n)| (c, n)).collect()
     }
 }
 

@@ -91,13 +91,7 @@ fn sync_storm_report_is_byte_identical_at_1_2_8_workers() {
         spec.workers = workers;
         let parallel = fleet::run_fleet_from(&spec, &snap);
         assert_eq!(serial.digest, parallel.digest, "workers={workers}");
-        assert_eq!(
-            serial
-                .render()
-                .replace("1 workers", &format!("{workers} workers")),
-            parallel.render(),
-            "workers={workers}"
-        );
+        assert_eq!(serial.render(), parallel.render(), "workers={workers}");
     }
 }
 

@@ -235,8 +235,7 @@ fn fleet_trace_namespaces_pids_per_machine() {
     Json::parse(&single).expect("single-machine export still parses");
 }
 
-/// A fleet trace merged from per-machine fragments is one valid Chrome
-/// document that survives the parse → compact re-render round trip, and
+/// A fleet trace is one valid Chrome document that survives the parse → compact re-render round trip, and
 /// its flow events (`ph:"s"`/`ph:"f"`) stitch cross-machine span trees:
 /// every flow id is a `machine << 40 | raw` global span id whose pid
 /// block matches the originating machine.
@@ -335,5 +334,43 @@ fn fleet_flow_trees_are_well_formed_under_ring_eviction() {
             "flow finish {id:#x} has no matching start"
         );
         assert!((id >> 40) < 18, "flow id {id:#x} outside the machine space");
+    }
+}
+
+/// `k2-fleet-trace`'s default fleet (16 devices, 2 hubs, 4 ms period,
+/// 80 epochs, full sink, seed 2014) exports the same bytes at 1 and 2
+/// workers as the pinned constants. The worker-invariance tests compare
+/// runs of one build with each other; these pins also catch a change to
+/// how the document or the timeline is rendered.
+#[test]
+fn fleet_trace_export_bytes_are_pinned() {
+    use k2_check::fleet;
+    use k2_sim::digest::Fnv64;
+    use k2_sim::sink::SinkMode;
+    use k2_sim::time::SimDuration;
+
+    let snap = fleet::warmed_snapshot();
+    let mut spec = fleet::FleetSpec::sync_storm(16, 2);
+    spec.seed = 2014;
+    spec.epochs = 80;
+    spec.period = SimDuration::from_ms(4);
+    spec.sink = SinkMode::Full;
+    for workers in [1, 2] {
+        spec.workers = workers;
+        let (report, trace) = fleet::run_fleet_traced(&spec, &snap);
+        let timeline = report.timeline.render_json();
+        let digest = |doc: &str| Fnv64::new().bytes(doc.as_bytes()).finish();
+        assert_eq!(trace.len(), 251_362, "workers={workers}");
+        assert_eq!(digest(&trace), 0x3aff_ad92_e1c3_2f9f, "workers={workers}");
+        assert_eq!(
+            digest(&timeline),
+            0x06d8_baea_d972_c575,
+            "workers={workers}"
+        );
+        assert_eq!(
+            report.trace_digest, 0x3312_2ac6_7b45_b7d9,
+            "workers={workers}"
+        );
+        assert_eq!(report.digest, 0x189a_e9a5_39c6_b281, "workers={workers}");
     }
 }

@@ -95,7 +95,8 @@ pub struct ChoicePoint<'a> {
 
 /// A pluggable co-enabled-event chooser, installed on the platform machine.
 /// Returning 0 everywhere reproduces the default (sequence-order) schedule.
-pub type ScheduleChooser = Box<dyn FnMut(&ChoicePoint<'_>) -> usize>;
+/// `Send` because the machine it is installed on may move between threads.
+pub type ScheduleChooser = Box<dyn FnMut(&ChoicePoint<'_>) -> usize + Send>;
 
 #[cfg(test)]
 mod tests {

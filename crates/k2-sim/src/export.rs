@@ -81,29 +81,6 @@ impl<'a, W: fmt::Write + ?Sized> ChromeTraceWriter<'a, W> {
         }
     }
 
-    /// Starts a *fragment* writer: events render exactly as inside the
-    /// `traceEvents` array but without the document envelope, so
-    /// independent workers can each render one machine's events and an
-    /// assembler can join the slices ([`assemble_trace`]). Close with
-    /// [`finish_fragment`](Self::finish_fragment), not `finish`.
-    pub fn fragment(out: &'a mut W) -> Self {
-        let mut w = JsonWriter::compact(out);
-        w.begin_fragment();
-        ChromeTraceWriter {
-            w,
-            events: 0,
-            pid_base: 0,
-        }
-    }
-
-    /// Closes a fragment writer, returning the number of events it
-    /// rendered (no envelope is written).
-    pub fn finish_fragment(mut self) -> u64 {
-        self.w.end_fragment();
-        self.w.finish();
-        self.events
-    }
-
     /// Events emitted so far.
     pub fn events(&self) -> u64 {
         self.events
@@ -250,31 +227,6 @@ impl<'a, W: fmt::Write + ?Sized> ChromeTraceWriter<'a, W> {
     }
 }
 
-/// Joins per-machine event fragments (rendered by
-/// [`ChromeTraceWriter::fragment`]) into one trace document. Fragments
-/// are concatenated *in slice order* — pass them in machine-index order
-/// for a deterministic fleet document — with empty fragments skipped so
-/// no stray commas appear. The result is byte-identical to rendering
-/// every event through a single writer.
-pub fn assemble_trace(fragments: &[String]) -> String {
-    let body: usize = fragments.iter().map(String::len).sum();
-    let mut out = String::with_capacity(body + 64);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for f in fragments {
-        if f.is_empty() {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(f);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,50 +294,6 @@ mod tests {
         assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("f"));
         assert_eq!(events[1].get("bp").and_then(Json::as_str), Some("e"));
         assert_eq!(events[1].get("cat").and_then(Json::as_str), Some("flow"));
-    }
-
-    #[test]
-    fn assembled_fragments_match_single_writer_byte_for_byte() {
-        // One writer renders everything...
-        let mut whole = String::new();
-        let mut w = ChromeTraceWriter::new(&mut whole);
-        w.set_machine(0);
-        w.complete("a", "span", 0, 1, (100, 50), &[("id", 1)]);
-        w.set_machine(2);
-        w.complete("b", "span", 0, 1, (200, 25), &[("id", 2)]);
-        w.instant("m", "marker", 1, 0, 300);
-        w.finish();
-
-        // ...three fragment writers render per-machine slices (machine
-        // 1 is empty) and the assembler joins them.
-        let mut f0 = String::new();
-        let mut w0 = ChromeTraceWriter::fragment(&mut f0);
-        w0.set_machine(0);
-        w0.complete("a", "span", 0, 1, (100, 50), &[("id", 1)]);
-        assert_eq!(w0.finish_fragment(), 1);
-        let f1 = String::new();
-        let mut f2 = String::new();
-        let mut w2 = ChromeTraceWriter::fragment(&mut f2);
-        w2.set_machine(2);
-        w2.complete("b", "span", 0, 1, (200, 25), &[("id", 2)]);
-        w2.instant("m", "marker", 1, 0, 300);
-        assert_eq!(w2.finish_fragment(), 2);
-
-        assert_eq!(assemble_trace(&[f0, f1, f2]), whole);
-    }
-
-    #[test]
-    fn assemble_of_all_empty_fragments_is_an_empty_document() {
-        let doc = assemble_trace(&[String::new(), String::new()]);
-        let parsed = Json::parse(&doc).unwrap();
-        assert_eq!(
-            parsed
-                .get("traceEvents")
-                .and_then(Json::as_array)
-                .unwrap()
-                .len(),
-            0
-        );
     }
 
     #[test]

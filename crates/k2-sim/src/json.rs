@@ -326,27 +326,6 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
         self.close(']', false);
     }
 
-    /// Opens an array *fragment*: values written after this separate
-    /// with commas exactly as inside an array, but no `[` is emitted.
-    /// Fragments let independent writers each render a slice of one
-    /// logical array; the slices concatenate (joined with `,`) inside
-    /// brackets written by whoever assembles them. Must be the
-    /// outermost frame — fragments do not nest inside containers.
-    pub fn begin_fragment(&mut self) {
-        assert!(self.stack.is_empty(), "fragment inside a container");
-        self.stack.push((false, 0));
-    }
-
-    /// Closes an array fragment without emitting `]`. Returns the
-    /// number of values the fragment holds, so assemblers can skip
-    /// empty fragments when joining.
-    pub fn end_fragment(&mut self) -> usize {
-        let (is_object, count) = self.stack.pop().expect("end_fragment with nothing open");
-        assert!(!is_object, "end_fragment on an object frame");
-        assert!(!self.pending_key, "end_fragment with a dangling key");
-        count
-    }
-
     fn close(&mut self, close: char, object: bool) {
         let (is_object, count) = self.stack.pop().expect("close with nothing open");
         assert_eq!(is_object, object, "mismatched container close");

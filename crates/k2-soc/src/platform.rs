@@ -88,7 +88,12 @@ pub struct TaskCx {
 /// Each call to [`Task::step`] performs the *logic* of the next slice of
 /// work instantly (mutating the world `W` and the machine's peripherals) and
 /// returns how much simulated time that slice costs, or how the task parks.
-pub trait Task<W> {
+///
+/// Tasks are `Send` so that a machine holding them is too: a fleet
+/// coordinator owns every machine and hands chunks of them to worker
+/// threads each epoch. State a task shares with its spawner therefore
+/// lives behind `Arc<Mutex<…>>` or an atomic, not `Rc<RefCell<…>>`.
+pub trait Task<W>: Send {
     /// Advances the task and returns the next scheduling action.
     fn step(&mut self, w: &mut W, m: &mut Machine<W>, cx: TaskCx) -> Step;
 
@@ -113,20 +118,24 @@ pub struct IrqCx {
 
 /// An interrupt service hook: runs the handler's logic and returns its cost
 /// in core cycles, which the machine charges to the handling core.
-pub type IrqHook<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, IrqCx) -> u64>;
+///
+/// Hooks, observers, deferred calls and world checks are `Send` for the
+/// same reason as [`Task`]: the machine that holds them moves between
+/// threads.
+pub type IrqHook<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, IrqCx) -> u64 + Send>;
 
 /// Observer invoked on every core power-state transition (what K2 hooks to
 /// re-route shared interrupts, §7).
-pub type PowerObserver<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, CoreId, PowerState)>;
+pub type PowerObserver<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, CoreId, PowerState) + Send>;
 
 /// A deferred callback scheduled with [`Machine::call_after`]: kernel-side
 /// timer work (retransmit checks, watchdogs) that runs in event order
 /// without needing a live task.
-pub type DeferredCall<W> = Box<dyn FnOnce(&mut W, &mut Machine<W>)>;
+pub type DeferredCall<W> = Box<dyn FnOnce(&mut W, &mut Machine<W>) + Send>;
 
 /// A world-state conservation law registered with
 /// [`Machine::add_invariant_check`], audited after simulation steps.
-pub type WorldCheck<W> = Box<dyn Fn(&W) -> Result<(), String>>;
+pub type WorldCheck<W> = Box<dyn Fn(&W) -> Result<(), String> + Send>;
 
 /// The attribution subsystems [`Machine`] charges active time to. Indexes
 /// into [`HotIds::active`]; the strings are the public metric tags.
@@ -2332,7 +2341,7 @@ mod tests {
         Machine::new(omap4_cores(), 64 * 1024 * 1024)
     }
 
-    type StepHook = Box<dyn FnMut(&mut World, &mut M, TaskCx, usize)>;
+    type StepHook = Box<dyn FnMut(&mut World, &mut M, TaskCx, usize) + Send>;
 
     /// Runs a closure sequence: each step call pops the next action.
     struct Script {

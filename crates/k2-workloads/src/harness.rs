@@ -168,7 +168,7 @@ pub fn run_energy_bench_config(config: SystemConfig, workload: Workload) -> Ener
     let end = work_done + timeout + SimDuration::from_ms(2);
     m.run_until(end, &mut sys);
     let after = EnergySnapshot::take(&m);
-    let r = report.borrow();
+    let r = report.lock().expect("report lock poisoned");
     assert_eq!(r.bytes, workload.bytes(), "workload completed fully");
     // Rails: the domains the OS actually uses (§9.2 measures per-domain
     // rails; under the baseline the weak domain would be powered off).
@@ -310,8 +310,8 @@ pub fn run_shared_driver(mode: SystemMode, batch: u64, duration: SimDuration) ->
     let finished = m.run_until_idle(&mut sys);
     let elapsed = (finished - start).as_secs_f64();
     let to_mbps = |bytes: u64| bytes as f64 / (1u64 << 20) as f64 / elapsed;
-    let main_bytes = main_report.borrow().bytes;
-    let shadow_bytes = shadow_report.borrow().bytes;
+    let main_bytes = main_report.lock().expect("report lock poisoned").bytes;
+    let shadow_bytes = shadow_report.lock().expect("report lock poisoned").bytes;
     SharedDriverRun {
         batch,
         main_mbps: to_mbps(main_bytes),
@@ -406,7 +406,7 @@ pub struct GridRow {
 ///     0,
 /// );
 /// t.run_until_idle();
-/// assert_eq!(report.borrow().bytes, 16 << 10);
+/// assert_eq!(report.lock().unwrap().bytes, 16 << 10);
 /// t.assert_audit_clean();
 /// ```
 pub struct TestSystem {

@@ -17,8 +17,7 @@ use k2_sim::time::{SimDuration, SimTime};
 use k2_soc::dma::DmaXferId;
 use k2_soc::mem::{Pfn, PhysAddr, PAGE_SIZE};
 use k2_soc::platform::{Step, Task, TaskCx};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// Shared progress report written by a task and read by the harness.
 #[derive(Clone, Debug, Default)]
@@ -31,12 +30,13 @@ pub struct Report {
     pub ops: u64,
 }
 
-/// Shared handle to a [`Report`].
-pub type ReportHandle = Rc<RefCell<Report>>;
+/// Shared handle to a [`Report`]. An `Arc<Mutex<…>>` because the task
+/// holding it must be `Send` (see [`Task`]).
+pub type ReportHandle = Arc<Mutex<Report>>;
 
 /// Creates a fresh report handle.
 pub fn new_report() -> ReportHandle {
-    Rc::new(RefCell::new(Report::default()))
+    Arc::new(Mutex::new(Report::default()))
 }
 
 /// Common identity of a benchmark task.
@@ -110,7 +110,7 @@ impl Task<K2System> for DmaBenchTask {
             return s;
         }
         if self.finishing {
-            let mut r = self.report.borrow_mut();
+            let mut r = self.report.lock().expect("report lock poisoned");
             r.finished_at = Some(cx.now);
             return Step::Done;
         }
@@ -142,7 +142,7 @@ impl Task<K2System> for DmaBenchTask {
             }
             self.pending = None;
             self.done += self.batch;
-            let mut r = self.report.borrow_mut();
+            let mut r = self.report.lock().expect("report lock poisoned");
             r.bytes = self.done;
             r.ops += 1;
         }
@@ -230,7 +230,10 @@ impl Task<K2System> for Ext2BenchTask {
             };
         }
         if self.file_idx >= self.files {
-            self.report.borrow_mut().finished_at = Some(cx.now);
+            self.report
+                .lock()
+                .expect("report lock poisoned")
+                .finished_at = Some(cx.now);
             return Step::Done;
         }
         // Create the next file if none is open.
@@ -274,7 +277,7 @@ impl Task<K2System> for Ext2BenchTask {
             res.expect("file write");
             dur += d;
             self.offset += n;
-            self.report.borrow_mut().bytes += n;
+            self.report.lock().expect("report lock poisoned").bytes += n;
             // Flash-backed devices add per-block latency, paid as an IO
             // wait after the CPU-side work.
             let io = w.world.services.fs.io_latency();
@@ -288,7 +291,7 @@ impl Task<K2System> for Ext2BenchTask {
         let (_sz, dur) = shadowed(w, m, cx.core, ServiceId::Fs, |s, opcx| s.fs.size(ino, opcx));
         self.current = None;
         self.file_idx += 1;
-        self.report.borrow_mut().ops += 1;
+        self.report.lock().expect("report lock poisoned").ops += 1;
         Step::ComputeTime {
             dur: dur + SimDuration::from_us(2),
         }
@@ -349,7 +352,10 @@ impl Task<K2System> for UdpBenchTask {
                 });
                 dur = d;
             }
-            self.report.borrow_mut().finished_at = Some(cx.now);
+            self.report
+                .lock()
+                .expect("report lock poisoned")
+                .finished_at = Some(cx.now);
             if dur.is_zero() {
                 return Step::Done;
             }
@@ -379,7 +385,7 @@ impl Task<K2System> for UdpBenchTask {
         self.done += n;
         self.in_batch += n;
         {
-            let mut r = self.report.borrow_mut();
+            let mut r = self.report.lock().expect("report lock poisoned");
             r.bytes = self.done;
             r.ops += 1;
         }
@@ -463,12 +469,15 @@ impl Task<K2System> for MetaDaemonTask {
             return Step::ComputeTime { dur };
         }
         if cx.now >= self.deadline {
-            self.report.borrow_mut().finished_at = Some(cx.now);
+            self.report
+                .lock()
+                .expect("report lock poisoned")
+                .finished_at = Some(cx.now);
             return Step::Done;
         }
         let dur = system::meta_poll(w, m, cx.core);
         self.polls += 1;
-        self.report.borrow_mut().ops = self.polls;
+        self.report.lock().expect("report lock poisoned").ops = self.polls;
         if !dur.is_zero() {
             self.charged = Some(dur);
         }
@@ -547,7 +556,7 @@ impl Task<K2System> for MultiplexTask {
             if t.slices == 0 {
                 self.rq.dequeue(t.tid);
             }
-            self.report.borrow_mut().ops += 1;
+            self.report.lock().expect("report lock poisoned").ops += 1;
         }
         // Re-admit threads whose gate reopened (enqueue is idempotent; a
         // freshly admitted thread starts at min_vruntime, no windfall).
@@ -593,7 +602,10 @@ impl Task<K2System> for MultiplexTask {
             };
         }
         if self.threads.iter().all(|t| t.slices == 0) {
-            self.report.borrow_mut().finished_at = Some(cx.now);
+            self.report
+                .lock()
+                .expect("report lock poisoned")
+                .finished_at = Some(cx.now);
             return Step::Done;
         }
         // Work remains but every runnable thread is gated: park until a
@@ -654,7 +666,10 @@ impl Task<K2System> for CloudFetchTask {
                 });
                 dur = d;
             }
-            self.report.borrow_mut().finished_at = Some(cx.now);
+            self.report
+                .lock()
+                .expect("report lock poisoned")
+                .finished_at = Some(cx.now);
             if dur.is_zero() {
                 return Step::Done;
             }
@@ -681,7 +696,7 @@ impl Task<K2System> for CloudFetchTask {
                     assert_eq!(dg.payload.len() as u64, self.reply_bytes);
                     self.waiting = false;
                     self.fetches -= 1;
-                    let mut r = self.report.borrow_mut();
+                    let mut r = self.report.lock().expect("report lock poisoned");
                     r.bytes += dg.payload.len() as u64;
                     r.ops += 1;
                     return Step::ComputeTime { dur };

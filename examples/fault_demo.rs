@@ -66,9 +66,10 @@ fn main() {
     m.run_until_idle(&mut sys);
 
     println!("seed {seed}: {} KB processed in {:?}", total >> 10, m.now());
+    let r = report.lock().unwrap();
     println!(
         "workload complete: {}",
-        report.borrow().bytes == total && report.borrow().finished_at.is_some()
+        r.bytes == total && r.finished_at.is_some()
     );
     println!("\ninjected fault mix:");
     print!("{}", m.fault_stats().expect("plan armed").mix_report());

@@ -103,7 +103,7 @@ fn faulted_run() -> (String, Fingerprint) {
     let stats = t.m.fault_stats().expect("plan was armed").clone();
     let fp = Fingerprint {
         now_ns: t.m.now().as_ns(),
-        bytes: report.borrow().bytes,
+        bytes: report.lock().unwrap().bytes,
         strong_energy_bits: t.m.domain_energy_mj(DomainId::STRONG).to_bits(),
         weak_energy_bits: t.m.domain_energy_mj(DomainId::WEAK).to_bits(),
         faults_injected: stats.total(),

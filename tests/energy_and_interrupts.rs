@@ -292,7 +292,7 @@ fn cloud_fetch_round_trips_through_the_net_interrupt() {
         &mut sys,
     );
     let end = m.run_until_idle(&mut sys);
-    assert_eq!(report.borrow().bytes, 5 * (16 << 10));
+    assert_eq!(report.lock().unwrap().bytes, 5 * (16 << 10));
     // The run is RTT-dominated (idle waits), exactly the §2.1 profile.
     let elapsed = (end - start).as_ms_f64();
     assert!(

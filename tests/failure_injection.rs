@@ -341,11 +341,11 @@ fn weak_core_stalls_and_spurious_wakes_only_delay_the_workload() {
     );
     t.run_until_idle();
     assert_eq!(
-        report.borrow().bytes,
+        report.lock().unwrap().bytes,
         total,
         "workload must complete despite stalled steps"
     );
-    assert!(report.borrow().finished_at.is_some());
+    assert!(report.lock().unwrap().finished_at.is_some());
     let stats = t.m.fault_stats().unwrap();
     assert!(
         stats.of(FaultClass::CoreStall) >= 1,

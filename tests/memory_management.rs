@@ -156,6 +156,9 @@ fn meta_daemon_rebalances_in_the_background() {
     m.run_until_idle(&mut sys);
     let (deflates, _) = sys.balloon.op_counts();
     assert!(deflates >= 1, "the background daemon deflated");
-    assert!(report.borrow().ops > 10, "the daemon polled repeatedly");
+    assert!(
+        report.lock().unwrap().ops > 10,
+        "the daemon polled repeatedly"
+    );
     sys.world.kernels[1].buddy.check_invariants();
 }

@@ -7,14 +7,13 @@ use k2_sim::time::SimDuration;
 use k2_soc::ids::DomainId;
 use k2_soc::platform::{Step, Task, TaskCx};
 use k2_workloads::harness::TestSystem;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// A NightWatch worker that appends a timestamped tick each time it runs.
 struct NwWorker {
     pid: Pid,
     ticks_left: u32,
-    log: Rc<RefCell<Vec<u64>>>,
+    log: Arc<Mutex<Vec<u64>>>,
 }
 
 impl Task<K2System> for NwWorker {
@@ -27,7 +26,7 @@ impl Task<K2System> for NwWorker {
             return Step::Done;
         }
         self.ticks_left -= 1;
-        self.log.borrow_mut().push(cx.now.as_ns());
+        self.log.lock().unwrap().push(cx.now.as_ns());
         Step::Sleep {
             dur: SimDuration::from_ms(1),
         }
@@ -76,7 +75,7 @@ fn setup() -> (TestSystem, Pid, Tid) {
 #[test]
 fn nightwatch_pauses_during_normal_execution() {
     let (mut t, pid, tid) = setup();
-    let log = Rc::new(RefCell::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
     t.m.spawn(
         t.kernel_core(DomainId::WEAK),
         Box::new(NwWorker {
@@ -100,7 +99,7 @@ fn nightwatch_pauses_during_normal_execution() {
         &mut t.sys,
     );
     t.run_until_idle();
-    let log = log.borrow();
+    let log = log.lock().unwrap();
     assert_eq!(log.len(), 30, "all ticks eventually ran");
     // No tick lands inside the burst window (after the SuspendNW mail
     // lands, until ResumeNW) — allow the mail's flight time at the edges.
@@ -126,7 +125,7 @@ fn unrelated_processes_keep_their_nightwatch_running() {
     let (mut t, pid_a, tid_a) = setup();
     let id_b = t.background("other-app");
     let pid_b = id_b.pid;
-    let log_b = Rc::new(RefCell::new(Vec::new()));
+    let log_b = Arc::new(Mutex::new(Vec::new()));
     t.m.spawn(
         t.kernel_core(DomainId::WEAK),
         Box::new(NwWorker {
@@ -150,7 +149,8 @@ fn unrelated_processes_keep_their_nightwatch_running() {
     );
     t.run_until_idle();
     let during: usize = log_b
-        .borrow()
+        .lock()
+        .unwrap()
         .iter()
         .filter(|&&t| t > burst_start && t < burst_start + 15_000_000)
         .count();
@@ -231,8 +231,8 @@ fn weak_core_shares_fairly_among_processes() {
         &mut t.sys,
     );
     t.run_until_idle();
-    assert_eq!(report.borrow().ops, 3 * 40, "every slice ran");
-    assert!(report.borrow().finished_at.is_some());
+    assert_eq!(report.lock().unwrap().ops, 3 * 40, "every slice ran");
+    assert!(report.lock().unwrap().finished_at.is_some());
 }
 
 #[test]
@@ -297,5 +297,5 @@ fn suspending_one_process_does_not_stall_the_multiplexer() {
     t.run_until_idle();
     // Everything eventually completed: B kept running during the burst, A
     // resumed after it.
-    assert_eq!(report.borrow().ops, 60);
+    assert_eq!(report.lock().unwrap().ops, 60);
 }

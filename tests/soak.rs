@@ -28,9 +28,11 @@ fn randomised_mix_soak() {
         t.sys.world.kernels[1].buddy.check_invariants();
     }
     // Every task processed exactly its payload.
-    let done: u64 = reports.iter().map(|r| r.borrow().bytes).sum();
+    let done: u64 = reports.iter().map(|r| r.lock().unwrap().bytes).sum();
     assert_eq!(done, expected_bytes);
-    assert!(reports.iter().all(|r| r.borrow().finished_at.is_some()));
+    assert!(reports
+        .iter()
+        .all(|r| r.lock().unwrap().finished_at.is_some()));
     // The strong domain did essentially nothing: its energy over the mix
     // is a sliver of the weak domain's.
     let after = k2_workloads::record::EnergySnapshot::take(&t.m);
@@ -97,9 +99,11 @@ fn randomised_fault_soak() {
         t.sys.world.kernels[1].buddy.check_invariants();
     }
     // Every task processed exactly its payload despite the faults.
-    let done: u64 = reports.iter().map(|r| r.borrow().bytes).sum();
+    let done: u64 = reports.iter().map(|r| r.lock().unwrap().bytes).sum();
     assert_eq!(done, expected_bytes);
-    assert!(reports.iter().all(|r| r.borrow().finished_at.is_some()));
+    assert!(reports
+        .iter()
+        .all(|r| r.lock().unwrap().finished_at.is_some()));
     // The soak actually exercised the fault paths; log the mix so a
     // failing run's seed can be triaged from the test output alone.
     let stats = t.m.fault_stats().unwrap();
