@@ -9,10 +9,9 @@
 //! so the checked-in file is simultaneously the experiment's
 //! parameterization, its documentation, and its regression test.
 //!
-//! The table/figure *text* is rendered byte-identically to the
-//! historical `k2-bench` functions (which now delegate here), keeping
-//! every downstream consumer — bench targets, CI artifacts, EXPERIMENTS
-//! transcripts — stable across the migration.
+//! The `k2` command line runs each eval file by its name through
+//! [`run_and_check`], so `k2 table4-alloc` prints Table 4 and checks
+//! `scenarios/table4-alloc.k2.md`'s expect table.
 
 use k2::system::SystemMode;
 use k2_check::dsl::{self, builtin, EvalSpec, ScenarioDef};
@@ -85,9 +84,9 @@ pub fn run_eval(def: &ScenarioDef) -> Result<EvalOutcome, String> {
     }
 }
 
-/// Bin entry point shared by the table/figure binaries: runs the named
-/// builtin, prints the table and a conformance footer, and returns the
-/// process exit code (nonzero when a declared expectation fails).
+/// Runs the named builtin for the `k2` command line: prints the table
+/// and a conformance footer, and returns the process exit code (nonzero
+/// when a declared expectation fails).
 pub fn run_and_check(name: &str) -> i32 {
     let def = builtin::load(name);
     let out = eval_builtin(name);

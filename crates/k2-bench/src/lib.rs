@@ -1,9 +1,10 @@
 //! # k2-bench — table and figure regeneration
 //!
-//! Formatting and driver code behind the benchmark binaries and the
-//! `tables` bench target. Each function regenerates one table or figure of
-//! the paper's evaluation and returns it as printable text; `EXPERIMENTS.md`
-//! records paper-vs-measured for each.
+//! Formatting and driver code behind the `k2` command line. Each function
+//! regenerates one table, figure or ablation of the paper's evaluation and
+//! returns it as printable text; the evals that run from a scenario file
+//! live in [`conformance`]. `EXPERIMENTS.md` records paper-vs-measured for
+//! each.
 
 #![warn(missing_docs)]
 
@@ -14,16 +15,16 @@ use k2::system::SystemMode;
 use k2_workloads::harness::{self, compare_energy, Workload};
 use std::fmt::Write as _;
 
-/// Ends a CLI binary on bad input without a panic: prints `msg` as one
-/// line on stderr and exits with `code` — 2 for a malformed argument,
-/// 1 for a file that cannot be written.
+/// Ends the `k2` command line on bad input without a panic: prints `msg`
+/// as one line on stderr and exits with `code` — 2 for a malformed
+/// argument, 1 for a file that cannot be written.
 pub fn exit_with(code: i32, msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(code)
 }
 
-/// Creates a CLI output file, or ends the binary with status 1 naming
-/// the path. The bins create their outputs before simulating anything,
+/// Creates a CLI output file, or ends the process with status 1 naming
+/// the path. Commands create their outputs before simulating anything,
 /// so a bad path fails fast.
 pub fn create_output(path: &str) -> std::fs::File {
     std::fs::File::create(path)
@@ -31,19 +32,11 @@ pub fn create_output(path: &str) -> std::fs::File {
 }
 
 /// Writes `text` into an output file from [`create_output`], or ends
-/// the binary with status 1 naming the path.
+/// the process with status 1 naming the path.
 pub fn write_output(mut file: std::fs::File, path: &str, text: &str) {
     use std::io::Write as _;
     file.write_all(text.as_bytes())
         .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
-}
-
-/// Figure 1: the architecture trend points and power ranges.
-///
-/// Parameterized by `scenarios/fig1-trend.k2.md` via the conformance
-/// runner; the rendered bytes are unchanged from the historical form.
-pub fn fig1_trend() -> String {
-    conformance::eval_builtin("fig1-trend").text
 }
 
 /// Table 1: core specifications of the platform.
@@ -82,8 +75,29 @@ pub fn table3_power() -> String {
     s
 }
 
-/// One family of Figure 6 (a: DMA, b: ext2, c: UDP loopback).
-pub fn fig6_energy(name: &str, params: Vec<Workload>) -> String {
+/// Figure 6: the three families (a: DMA, b: ext2, c: UDP loopback).
+pub fn fig6_energy() -> String {
+    [
+        (
+            "(a): DMA driver, (BatchSize, TotalSize)",
+            harness::figure6_dma_params(),
+        ),
+        (
+            "(b): ext2, single file size (8 files)",
+            harness::figure6_ext2_params(),
+        ),
+        (
+            "(c): UDP loopback, (BatchSize, TotalSize)",
+            harness::figure6_udp_params(),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, params)| fig6_family(name, params))
+    .collect()
+}
+
+/// One family of Figure 6.
+fn fig6_family(name: &str, params: Vec<Workload>) -> String {
     let mut s = format!("== Figure 6{name} ==\n");
     writeln!(
         s,
@@ -109,47 +123,6 @@ pub fn fig6_energy(name: &str, params: Vec<Workload>) -> String {
     }
     writeln!(s, "best improvement: {best:.1}x").unwrap();
     s
-}
-
-/// All three Figure 6 families.
-pub fn fig6_all() -> String {
-    let mut s = fig6_energy(
-        "(a): DMA driver, (BatchSize, TotalSize)",
-        harness::figure6_dma_params(),
-    );
-    s.push('\n');
-    s.push_str(&fig6_energy(
-        "(b): ext2, single file size (8 files)",
-        harness::figure6_ext2_params(),
-    ));
-    s.push('\n');
-    s.push_str(&fig6_energy(
-        "(c): UDP loopback, (BatchSize, TotalSize)",
-        harness::figure6_udp_params(),
-    ));
-    s
-}
-
-/// Table 4: physical-memory allocation latencies.
-///
-/// Parameterized by `scenarios/table4-alloc.k2.md`.
-pub fn table4_alloc() -> String {
-    conformance::eval_builtin("table4-alloc").text
-}
-
-/// Table 5: the DSM fault latency breakdown.
-///
-/// Parameterized by `scenarios/table5-dsm.k2.md`.
-pub fn table5_dsm() -> String {
-    conformance::eval_builtin("table5-dsm").text
-}
-
-/// Table 6: concurrent DMA throughput with the shadowed driver.
-///
-/// Parameterized by `scenarios/table6-shared-driver.k2.md` (the batch
-/// list there mirrors [`k2_workloads::harness::table6_batches`]).
-pub fn table6_shared_driver() -> String {
-    conformance::eval_builtin("table6-shared-driver").text
 }
 
 /// §9.3 ablation: the shadowed page allocator.
@@ -222,17 +195,6 @@ pub fn ablation_three_state() -> String {
         "(paper: the ten-entry first-level TLB thrashes, motivating the two-state design)\n",
     );
     s
-}
-
-/// DVFS sweep: Linux's energy efficiency across A9 operating points,
-/// justifying the paper's choice of 350 MHz as the baseline's best case
-/// and showing DVFS cannot reach the weak domain (Figure 1's argument,
-/// measured end to end).
-///
-/// Parameterized by `scenarios/dvfs-sweep.k2.md` (workload, frequency
-/// list, and the K2 comparison point all come from the file).
-pub fn dvfs_sweep() -> String {
-    conformance::eval_builtin("dvfs-sweep").text
 }
 
 /// IO-bound ablation: the ext2 benchmark on flash instead of the paper's
@@ -336,20 +298,6 @@ pub fn ablation_pin_weak() -> String {
     s
 }
 
-/// §9.2: the standby-time estimate.
-///
-/// Parameterized by `scenarios/standby-estimate.k2.md`.
-pub fn standby_estimate() -> String {
-    conformance::eval_builtin("standby-estimate").text
-}
-
-/// Table 2 analogue: the classification and this repo's code inventory.
-///
-/// Parameterized by `scenarios/table2-refactoring.k2.md`.
-pub fn table2_refactoring() -> String {
-    conformance::eval_builtin("table2-refactoring").text
-}
-
 /// The machine-readable profile report bundle (`BENCH_pr2.json`): every
 /// golden scenario run under `seed`, serialized through the observability
 /// layer's deterministic JSON renderer. CI's bench smoke step emits this;
@@ -400,13 +348,13 @@ mod tests {
 
     #[test]
     fn fig1_renders_all_groups() {
-        let f = fig1_trend();
+        let f = conformance::eval_builtin("fig1-trend").text;
         assert!(f.contains("DVFS") && f.contains("big.LITTLE") && f.contains("Multi-domain"));
     }
 
     #[test]
     fn table5_renders_breakdown() {
-        let t = table5_dsm();
+        let t = conformance::eval_builtin("table5-dsm").text;
         assert!(t.contains("Servicing request") && t.contains("Total"));
     }
 
@@ -418,7 +366,7 @@ mod tests {
 
     #[test]
     fn table2_renders_classification() {
-        let t = table2_refactoring();
+        let t = conformance::eval_builtin("table2-refactoring").text;
         assert!(t.contains("shadowed") && t.contains("independent"));
     }
 }

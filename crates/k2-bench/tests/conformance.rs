@@ -1,7 +1,7 @@
-//! The seven table/figure bins are wrappers over checked-in `.k2.md`
-//! files; this suite proves each eval runs from its file and that the
-//! in-file expected-results table holds — the same check the bins and
-//! the CI matrix job perform, pinned as a cargo test.
+//! The seven paper-evaluation tables and figures run from checked-in
+//! `.k2.md` files; this suite proves each eval runs from its file and
+//! that the in-file expected-results table holds — the same check
+//! `k2 <eval>` and the CI matrix job perform, pinned as a cargo test.
 
 use k2_bench::conformance;
 use k2_check::dsl::builtin;
@@ -41,36 +41,21 @@ fn every_eval_scenario_meets_its_expect_table() {
 
 #[test]
 fn eval_text_matches_the_legacy_report_functions() {
-    // The bins replaced hand-rolled report fns; the rendered text is
-    // part of the conformance surface (docs quote it verbatim).
-    assert_eq!(
-        conformance::eval_builtin("fig1-trend").text,
-        k2_bench::fig1_trend()
-    );
-    assert_eq!(
-        conformance::eval_builtin("dvfs-sweep").text,
-        k2_bench::dvfs_sweep()
-    );
-    assert_eq!(
-        conformance::eval_builtin("standby-estimate").text,
-        k2_bench::standby_estimate()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table2-refactoring").text,
-        k2_bench::table2_refactoring()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table4-alloc").text,
-        k2_bench::table4_alloc()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table5-dsm").text,
-        k2_bench::table5_dsm()
-    );
-    assert_eq!(
-        conformance::eval_builtin("table6-shared-driver").text,
-        k2_bench::table6_shared_driver()
-    );
+    // `k2 <eval>` prints the eval's rendered text (docs quote it
+    // verbatim) and then the conformance footer, and exits 0.
+    for name in EVALS {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_k2"))
+            .arg(name)
+            .output()
+            .expect("spawn k2");
+        assert_eq!(out.status.code(), Some(0), "k2 {name} failed");
+        let declared = builtin::load(name).expectations("none", 0).len();
+        let want = format!(
+            "{}conformance: {declared}/{declared} expectations hold (scenarios/{name}.k2.md)\n",
+            conformance::eval_builtin(name).text
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "k2 {name}");
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@
 //! Every scenario is declarative: [`dsl`] parses the checked-in
 //! `scenarios/*.k2.md` files (spec = test = doc) onto the run machinery,
 //! [`matrix`] expands them into the deterministic conformance matrix
-//! `k2-matrix` reports on, and [`fleet`] runs the fleet files.
+//! `k2 matrix` reports on, and [`fleet`] runs the fleet files.
 
 #![warn(missing_docs)]
 

@@ -101,7 +101,7 @@ pub struct CellCoord {
 
 impl CellCoord {
     /// The canonical `scenario:seed:preset:chooser:sink` identifier —
-    /// what `k2-matrix --cell` accepts to re-run one cell.
+    /// what `k2 matrix --cell` accepts to re-run one cell.
     pub fn id(&self) -> String {
         format!(
             "{}:{}:{}:{}:{}",
@@ -380,7 +380,7 @@ impl MatrixOutcome {
         (total, passed)
     }
 
-    /// The human-facing markdown summary `k2-matrix` prints.
+    /// The human-facing markdown summary `k2 matrix` prints.
     pub fn render_markdown(&self) -> String {
         let mut s = String::new();
         writeln!(s, "# conformance matrix").unwrap();

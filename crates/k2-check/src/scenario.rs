@@ -158,7 +158,7 @@ impl RunOptions {
     }
 
     /// Full observability plus the Chrome trace export in
-    /// [`RunOutcome::chrome_trace`] — what the `k2-trace` binary runs.
+    /// [`RunOutcome::chrome_trace`] — what `k2 trace` runs.
     pub fn traced() -> Self {
         RunOptions {
             render_report: true,

@@ -337,7 +337,7 @@ fn fleet_flow_trees_are_well_formed_under_ring_eviction() {
     }
 }
 
-/// `k2-fleet-trace`'s default fleet (16 devices, 2 hubs, 4 ms period,
+/// `k2 fleet-trace`'s default fleet (16 devices, 2 hubs, 4 ms period,
 /// 80 epochs, full sink, seed 2014) exports the same bytes at 1 and 2
 /// workers as the pinned constants. The worker-invariance tests compare
 /// runs of one build with each other; these pins also catch a change to
