@@ -42,22 +42,34 @@ pub trait BlockDevice {
 
 /// A RAM-backed block device: CPU copy cost, no I/O latency.
 ///
-/// Resident blocks are held behind `Arc` so cloning the disk — the bulk
-/// of a [snapshot fork](https://en.wikipedia.org/wiki/Copy-on-write) —
-/// shares every block instead of deep-copying the image; a write to a
-/// shared block copies just that 4 KB block first (`Arc::make_mut`).
+/// The block table is copy-on-write at two levels: `Arc`'d chunks of 64
+/// slots, each written slot an `Arc`'d 4 KB block, and no chunk until one
+/// of its blocks is written. A clone, which every snapshot fork makes,
+/// copies one pointer per chunk (1 KiB for a system's 8,192-block disk)
+/// and bumps the written chunks' refcounts. The first write to a shared
+/// block copies its chunk (512 bytes of slots) and then the block itself
+/// (`Arc::make_mut`, chunk first); later writes to them copy nothing.
 #[derive(Clone, Debug)]
 pub struct RamDisk {
-    blocks: Vec<Option<Arc<[u8; BLOCK_SIZE]>>>,
+    chunks: Vec<Option<Arc<Chunk>>>,
+    blocks: u64,
     reads: u64,
     writes: u64,
 }
+
+/// Slots per copy-on-write chunk of a [`RamDisk`]'s table.
+const CHUNK_SLOTS: usize = 64;
+
+/// One chunk of a [`RamDisk`]'s table: a slot per block, `None` until the
+/// block is first written.
+type Chunk = [Option<Arc<[u8; BLOCK_SIZE]>>; CHUNK_SLOTS];
 
 impl RamDisk {
     /// Creates a zeroed ramdisk of `blocks` blocks.
     pub fn new(blocks: u64) -> Self {
         RamDisk {
-            blocks: (0..blocks).map(|_| None).collect(),
+            chunks: vec![None; blocks.div_ceil(CHUNK_SLOTS as u64) as usize],
+            blocks,
             reads: 0,
             writes: 0,
         }
@@ -72,16 +84,30 @@ impl RamDisk {
     pub fn write_count(&self) -> u64 {
         self.writes
     }
+
+    /// The chunk index and slot of block `n`. The last chunk may hold
+    /// fewer than 64 blocks, so the range is checked here and not left
+    /// to the table's bounds.
+    fn locate(&self, n: u64) -> (usize, usize) {
+        assert!(
+            n < self.blocks,
+            "block {n} beyond a {}-block disk",
+            self.blocks
+        );
+        let slots = CHUNK_SLOTS as u64;
+        ((n / slots) as usize, (n % slots) as usize)
+    }
 }
 
 impl BlockDevice for RamDisk {
     fn block_count(&self) -> u64 {
-        self.blocks.len() as u64
+        self.blocks
     }
 
     fn read_block(&self, n: u64, buf: &mut [u8]) -> Cost {
         assert_eq!(buf.len(), BLOCK_SIZE, "short buffer");
-        match &self.blocks[n as usize] {
+        let (chunk, slot) = self.locate(n);
+        match self.chunks[chunk].as_ref().and_then(|c| c[slot].as_ref()) {
             Some(b) => buf.copy_from_slice(&b[..]),
             None => buf.fill(0),
         }
@@ -92,16 +118,12 @@ impl BlockDevice for RamDisk {
 
     fn write_block(&mut self, n: u64, buf: &[u8]) -> Cost {
         assert_eq!(buf.len(), BLOCK_SIZE, "short buffer");
+        let (chunk, slot) = self.locate(n);
         self.writes += 1;
-        let slot = &mut self.blocks[n as usize];
-        match slot {
-            Some(b) => Arc::make_mut(b).copy_from_slice(buf),
-            None => {
-                let mut b = [0u8; BLOCK_SIZE];
-                b.copy_from_slice(buf);
-                *slot = Some(Arc::new(b));
-            }
-        }
+        let chunk =
+            self.chunks[chunk].get_or_insert_with(|| Arc::new([const { None }; CHUNK_SLOTS]));
+        let block = Arc::make_mut(chunk)[slot].get_or_insert_with(|| Arc::new([0; BLOCK_SIZE]));
+        Arc::make_mut(block).copy_from_slice(buf);
         Cost::instr(60) + Cost::bulk(BLOCK_SIZE as u64)
     }
 }
@@ -195,12 +217,16 @@ mod tests {
 
     #[test]
     fn ramdisk_round_trips_blocks() {
-        let mut d = RamDisk::new(8);
-        let data = [0x5au8; BLOCK_SIZE];
-        d.write_block(3, &data);
-        let mut out = [0u8; BLOCK_SIZE];
-        d.read_block(3, &mut out);
-        assert_eq!(out[..], data[..]);
+        // Block 99 is the last of a 100-block disk, whose last chunk is
+        // partial.
+        for (blocks, n) in [(8, 3), (100, 99)] {
+            let mut d = RamDisk::new(blocks);
+            let data = [0x5au8; BLOCK_SIZE];
+            d.write_block(n, &data);
+            let mut out = [0u8; BLOCK_SIZE];
+            d.read_block(n, &mut out);
+            assert_eq!(out[..], data[..]);
+        }
     }
 
     #[test]
@@ -234,5 +260,40 @@ mod tests {
         let d = RamDisk::new(1);
         let mut out = [0u8; BLOCK_SIZE];
         d.read_block(5, &mut out);
+    }
+
+    fn read(d: &RamDisk, n: u64) -> [u8; BLOCK_SIZE] {
+        let mut out = [0u8; BLOCK_SIZE];
+        d.read_block(n, &mut out);
+        out
+    }
+
+    #[test]
+    fn writes_to_a_clone_and_its_original_stay_apart() {
+        // Block 3 is written before the clone, so both disks share its
+        // chunk and block; block 200 lies in a chunk never written.
+        for (n, was) in [(3, 1), (200, 0)] {
+            let mut original = RamDisk::new(256);
+            original.write_block(3, &[1; BLOCK_SIZE]);
+            let mut clone = original.clone();
+            clone.write_block(n, &[2; BLOCK_SIZE]);
+            assert_eq!(read(&clone, n), [2; BLOCK_SIZE]);
+            assert_eq!(read(&original, n), [was; BLOCK_SIZE], "block {n}");
+            original.write_block(n, &[3; BLOCK_SIZE]);
+            assert_eq!(read(&original, n), [3; BLOCK_SIZE]);
+            assert_eq!(read(&clone, n), [2; BLOCK_SIZE], "block {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond a 100-block disk")]
+    fn reading_past_a_partial_chunk_panics() {
+        read(&RamDisk::new(100), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond a 100-block disk")]
+    fn writing_past_a_partial_chunk_panics() {
+        RamDisk::new(100).write_block(100, &[0; BLOCK_SIZE]);
     }
 }

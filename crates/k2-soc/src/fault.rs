@@ -29,7 +29,7 @@ use crate::hwspinlock::HwLockId;
 use crate::ids::DomainId;
 use k2_sim::time::{SimDuration, SimTime};
 use k2_sim::SimRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The classes of fault a plan can inject.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -250,7 +250,7 @@ pub struct FaultPlan {
     mail_delay_max: SimDuration,
     lock_stuck_p: f64,
     lock_stuck_for: SimDuration,
-    stuck_until: HashMap<u16, SimTime>,
+    stuck_until: BTreeMap<u16, SimTime>,
     scripted_stuck: Vec<(HwLockId, SimDuration)>,
     dma_fail_p: f64,
     dma_partial_p: f64,
@@ -275,7 +275,7 @@ impl FaultPlan {
                 mail_delay_max: SimDuration::ZERO,
                 lock_stuck_p: 0.0,
                 lock_stuck_for: SimDuration::ZERO,
-                stuck_until: HashMap::new(),
+                stuck_until: BTreeMap::new(),
                 scripted_stuck: Vec::new(),
                 dma_fail_p: 0.0,
                 dma_partial_p: 0.0,
@@ -300,9 +300,10 @@ impl FaultPlan {
     }
 
     /// Folds the plan's exact state — dials, RNG stream position, stuck
-    /// windows (sorted), scripted faults, and injection counts — into a
-    /// snapshot digest. Covering the RNG words means equal digests imply
-    /// identical *future* fault decisions, not just identical history.
+    /// windows (in lock order), scripted faults, and injection counts —
+    /// into a snapshot digest. Covering the RNG words means equal digests
+    /// imply identical *future* fault decisions, not just identical
+    /// history.
     pub fn digest_into(&self, h: &mut k2_sim::digest::Fnv64) {
         for w in self.rng.state() {
             h.u64(w);
@@ -321,11 +322,8 @@ impl FaultPlan {
             .u64(self.stall_domain.map_or(u64::MAX, |d| d.0 as u64))
             .f64(self.spurious_p)
             .u64(self.spurious_domain.map_or(u64::MAX, |d| d.0 as u64));
-        let mut stuck: Vec<(u16, SimTime)> =
-            self.stuck_until.iter().map(|(&k, &v)| (k, v)).collect();
-        stuck.sort_unstable_by_key(|&(k, _)| k);
-        h.usize(stuck.len());
-        for (lock, until) in stuck {
+        h.usize(self.stuck_until.len());
+        for (&lock, until) in &self.stuck_until {
             h.u32(lock as u32).u64(until.as_ns());
         }
         h.usize(self.scripted_stuck.len());

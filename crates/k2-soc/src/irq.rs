@@ -11,7 +11,7 @@
 
 use crate::ids::{DomainId, IrqId};
 use k2_sim::explore::EventClass;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Schedule-exploration class of deferred interrupt raises (bottom halves
 /// and fault-injected spurious lines scheduled as queue events).
@@ -20,8 +20,8 @@ pub const EVENT_CLASS: EventClass = EventClass::Irq;
 /// One domain's interrupt controller state.
 #[derive(Clone, Debug, Default)]
 pub struct IrqController {
-    unmasked: HashSet<u16>,
-    pending: HashSet<u16>,
+    unmasked: BTreeSet<u16>,
+    pending: BTreeSet<u16>,
     delivered: u64,
 }
 
@@ -67,9 +67,7 @@ impl IrqController {
 
     /// All lines latched pending, sorted (for deterministic audit output).
     pub fn pending_lines(&self) -> Vec<u16> {
-        let mut v: Vec<u16> = self.pending.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.pending.iter().copied().collect()
     }
 
     /// Interrupts delivered through this controller so far.
@@ -78,14 +76,12 @@ impl IrqController {
     }
 
     /// Folds the controller's exact state (mask set, pending latch,
-    /// delivery counter) into a snapshot digest, line sets sorted.
+    /// delivery counter) into a snapshot digest, line sets in line order.
     pub fn digest_into(&self, h: &mut k2_sim::digest::Fnv64) {
         h.u64(self.delivered);
         for set in [&self.unmasked, &self.pending] {
-            let mut lines: Vec<u16> = set.iter().copied().collect();
-            lines.sort_unstable();
-            h.usize(lines.len());
-            for l in lines {
+            h.usize(set.len());
+            for &l in set {
                 h.u32(l as u32);
             }
         }

@@ -6,7 +6,7 @@
 //! 1 GB platform stays cheap while DMA transfers and filesystem writes
 //! remain fully verifiable byte-for-byte.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,7 +94,7 @@ impl fmt::Display for PhysAddr {
 #[derive(Clone)]
 pub struct SharedRam {
     size: u64,
-    pages: HashMap<u64, Arc<[u8; PAGE_SIZE]>>,
+    pages: BTreeMap<u64, Arc<[u8; PAGE_SIZE]>>,
 }
 
 impl SharedRam {
@@ -110,7 +110,7 @@ impl SharedRam {
         );
         SharedRam {
             size,
-            pages: HashMap::new(),
+            pages: BTreeMap::new(),
         }
     }
 
@@ -131,10 +131,8 @@ impl SharedRam {
     /// digests mean structurally equal RAMs.
     pub fn digest_into(&self, h: &mut k2_sim::digest::Fnv64) {
         h.u64(self.size).usize(self.pages.len());
-        let mut addrs: Vec<u64> = self.pages.keys().copied().collect();
-        addrs.sort_unstable();
-        for a in addrs {
-            h.u64(a).bytes(&self.pages[&a][..]);
+        for (&a, page) in &self.pages {
+            h.u64(a).bytes(&page[..]);
         }
     }
 

@@ -320,17 +320,6 @@ pub fn run_shared_driver(mode: SystemMode, batch: u64, duration: SimDuration) ->
     }
 }
 
-/// Batch sizes of Table 6.
-pub fn table6_batches() -> Vec<u64> {
-    vec![4 << 10, 128 << 10, 256 << 10, 1 << 20]
-}
-
-/// A shared time budget for Table 6 runs (long enough that per-run setup
-/// amortises away).
-pub fn table6_duration() -> SimDuration {
-    SimDuration::from_secs(2)
-}
-
 /// Convenience used by tests: the simulated instant `secs` seconds in.
 pub fn at_secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)

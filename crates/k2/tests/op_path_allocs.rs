@@ -1,11 +1,17 @@
-//! Allocation guard for the shadowed-service op path.
+//! Allocation guards for the shadowed-service op path and for a fork.
 //!
 //! Every simulated syscall into a shadowed service runs through
 //! `k2::system::shadowed`. Its bookkeeping (the access trace, DSM
 //! planning, metric bumps) must not allocate once warm: the world's
 //! operation context is reused and emptied after each call, and metric
-//! ids are interned at first use. A counting global allocator pins that
-//! down for calls that hit locally.
+//! ids are interned at first use.
+//!
+//! `K2System::fork` is the cost of every fleet machine and of every
+//! explored schedule. It must copy only small tables: RAM pages, disk
+//! blocks and the disk's 64-slot chunks are shared copy-on-write, not
+//! copied.
+//!
+//! A counting global allocator pins both down, in allocations and bytes.
 
 use k2::system::{shadowed, K2System, SystemConfig};
 use k2_kernel::service::ServiceId;
@@ -13,17 +19,23 @@ use k2_soc::ids::DomainId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts allocations per thread, so the test harness's other threads
-/// cannot disturb a measurement.
+/// Counts allocations and the bytes they request per thread, so the test
+/// harness's other threads cannot disturb a measurement.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|a| a.set(a.get() + 1));
+    BYTES.with(|b| b.set(b.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -32,7 +44,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|a| a.set(a.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,6 +54,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 #[test]
@@ -74,4 +90,20 @@ fn local_hits_allocate_nothing_once_warm() {
         assert_eq!(sys.dsm.total_faults(), faults, "{dom}: every call hit");
         assert_eq!(spent, 0, "{dom}: 1,000 local recvs allocated {spent} times");
     }
+}
+
+#[test]
+fn a_fork_allocates_under_16_kib() {
+    let (m, sys) = K2System::boot(SystemConfig::k2());
+    let image = K2System::snapshot(&m, &sys);
+    // Warm-up: the first fork runs any lazy one-time set-up.
+    drop(K2System::fork(&image));
+    let (allocs_before, bytes_before) = (allocs(), bytes());
+    let fork = K2System::fork(&image);
+    let (spent, size) = (allocs() - allocs_before, bytes() - bytes_before);
+    drop(fork);
+    assert!(
+        size < 16 << 10 && spent <= 47,
+        "a fork allocated {size} B in {spent} allocations (want < 16,384 B in <= 47)"
+    );
 }
