@@ -130,7 +130,8 @@ fn classify(out: &RunOutcome, reference: Option<&EndState>) -> Option<(FailureKi
     if let Err(e) = &out.audit {
         return Some((FailureKind::Invariant, e.clone()));
     }
-    if let Some(baseline) = reference {
+    // Equal end states need no diff: build one only to explain a mismatch.
+    if let Some(baseline) = reference.filter(|b| **b != out.end_state) {
         let diff = baseline.diff(&out.end_state);
         if !diff.is_empty() {
             return Some((FailureKind::EndStateDivergence, diff.join("; ")));

@@ -53,8 +53,6 @@ pub trait BlockDevice {
 pub struct RamDisk {
     chunks: Vec<Option<Arc<Chunk>>>,
     blocks: u64,
-    reads: u64,
-    writes: u64,
 }
 
 /// Slots per copy-on-write chunk of a [`RamDisk`]'s table.
@@ -70,19 +68,7 @@ impl RamDisk {
         RamDisk {
             chunks: vec![None; blocks.div_ceil(CHUNK_SLOTS as u64) as usize],
             blocks,
-            reads: 0,
-            writes: 0,
         }
-    }
-
-    /// Read operations so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Write operations so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// The chunk index and slot of block `n`. The last chunk may hold
@@ -111,15 +97,12 @@ impl BlockDevice for RamDisk {
             Some(b) => buf.copy_from_slice(&b[..]),
             None => buf.fill(0),
         }
-        // The cast through a raw pointer is avoided: interior counters would
-        // need Cell; instead reads are counted on the mutable path only.
         Cost::instr(60) + Cost::bulk(BLOCK_SIZE as u64)
     }
 
     fn write_block(&mut self, n: u64, buf: &[u8]) -> Cost {
         assert_eq!(buf.len(), BLOCK_SIZE, "short buffer");
         let (chunk, slot) = self.locate(n);
-        self.writes += 1;
         let chunk =
             self.chunks[chunk].get_or_insert_with(|| Arc::new([const { None }; CHUNK_SLOTS]));
         let block = Arc::make_mut(chunk)[slot].get_or_insert_with(|| Arc::new([0; BLOCK_SIZE]));

@@ -14,7 +14,8 @@
 
 use crate::cost::Cost;
 use k2_soc::mem::Pfn;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest block order: 2^10 pages = 4 MB.
 pub const MAX_ORDER: u8 = 10;
@@ -72,12 +73,52 @@ pub struct BuddyStats {
 pub struct BuddyAllocator {
     /// Free block heads per order.
     free: [BTreeSet<u64>; (MAX_ORDER + 1) as usize],
-    /// Allocated block heads.
-    allocated: HashMap<u64, AllocInfo>,
+    /// Allocated block heads, in address order.
+    allocated: BTreeMap<u64, AllocInfo>,
     /// Managed regions, coalesced: start pfn -> page count.
     managed: BTreeMap<u64, u64>,
     free_pages: u64,
     stats: BuddyStats,
+    /// Mutation generation: every `&mut` entry point bumps it before it
+    /// touches anything else.
+    generation: u64,
+    /// The last generation [`BuddyAllocator::validate`] found clean.
+    clean_at: CleanAt,
+}
+
+/// The generation at which an allocator last validated clean, if any.
+///
+/// Atomic so that a shared `&BuddyAllocator` (a frozen snapshot that
+/// several threads read) can record a clean check and stay `Sync`. A
+/// clone copies it together with the state it vouches for. `Relaxed`
+/// suffices: the value publishes no data, it names a generation of state
+/// that every thread holding `&self` already sees and that cannot change
+/// while shared.
+#[derive(Debug)]
+struct CleanAt(AtomicU64);
+
+impl CleanAt {
+    const NEVER: u64 = u64::MAX;
+
+    fn get(&self) -> Option<u64> {
+        Some(self.0.load(Ordering::Relaxed)).filter(|&g| g != Self::NEVER)
+    }
+
+    fn set(&self, generation: u64) {
+        self.0.store(generation, Ordering::Relaxed);
+    }
+}
+
+impl Default for CleanAt {
+    fn default() -> Self {
+        CleanAt(AtomicU64::new(Self::NEVER))
+    }
+}
+
+impl Clone for CleanAt {
+    fn clone(&self) -> Self {
+        CleanAt(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 impl BuddyAllocator {
@@ -126,6 +167,7 @@ impl BuddyAllocator {
     ///
     /// Panics on overlap with an existing managed range.
     pub fn add_range(&mut self, start: Pfn, npages: u64) -> Cost {
+        self.generation += 1;
         assert!(npages > 0, "empty range");
         for (&s, &n) in &self.managed {
             let overlap = start.0 < s + n && s < start.0 + npages;
@@ -160,6 +202,7 @@ impl BuddyAllocator {
     /// Returns `Err(pfn)` naming an allocated page if the range is not
     /// entirely free; the caller must migrate that page first.
     pub fn remove_range(&mut self, start: Pfn, npages: u64) -> Result<Cost, Pfn> {
+        self.generation += 1;
         if let Some(p) = self.first_allocated_in(start, npages) {
             return Err(p);
         }
@@ -217,6 +260,7 @@ impl BuddyAllocator {
         migrate: MigrateType,
         excl: Option<(Pfn, u64)>,
     ) -> Option<(Pfn, Cost)> {
+        self.generation += 1;
         assert!(order <= MAX_ORDER, "order {order} > MAX_ORDER");
         let intersects = |head: u64, o: u8| -> bool {
             match excl {
@@ -292,6 +336,7 @@ impl BuddyAllocator {
     ///
     /// Panics on double-free or a pfn that is not a block head.
     pub fn free_pages(&mut self, pfn: Pfn) -> Cost {
+        self.generation += 1;
         let info = self
             .allocated
             .remove(&pfn.0)
@@ -322,25 +367,31 @@ impl BuddyAllocator {
 
     /// The head of the first allocated block intersecting the range, if any.
     pub fn first_allocated_in(&self, start: Pfn, npages: u64) -> Option<Pfn> {
-        let end = start.0 + npages;
-        self.allocated
-            .iter()
-            .filter(|(&head, info)| head < end && head + (1u64 << info.order) > start.0)
-            .map(|(&head, _)| Pfn(head))
-            .min_by_key(|p| p.0)
+        self.allocated_range(start, npages)
+            .next()
+            .map(|(head, _)| Pfn(head))
     }
 
-    /// All allocated block heads intersecting the range.
+    /// All allocated block heads intersecting the range, in address order.
     pub fn allocated_in(&self, start: Pfn, npages: u64) -> Vec<(Pfn, AllocInfo)> {
-        let end = start.0 + npages;
-        let mut v: Vec<(Pfn, AllocInfo)> = self
-            .allocated
-            .iter()
-            .filter(|(&head, info)| head < end && head + (1u64 << info.order) > start.0)
-            .map(|(&head, info)| (Pfn(head), *info))
-            .collect();
-        v.sort_by_key(|(p, _)| p.0);
-        v
+        self.allocated_range(start, npages)
+            .map(|(head, info)| (Pfn(head), info))
+            .collect()
+    }
+
+    /// The allocated blocks intersecting the range, in address order: a
+    /// block is at most `2^MAX_ORDER` pages, so none that starts further
+    /// below `start` can reach it.
+    fn allocated_range(
+        &self,
+        start: Pfn,
+        npages: u64,
+    ) -> impl Iterator<Item = (u64, AllocInfo)> + '_ {
+        let from = start.0.saturating_sub((1 << MAX_ORDER) - 1);
+        self.allocated
+            .range(from..start.0 + npages)
+            .filter(move |(&head, info)| head + (1u64 << info.order) > start.0)
+            .map(|(&head, &info)| (head, info))
     }
 
     /// `true` if the whole range is managed and free.
@@ -371,39 +422,69 @@ impl BuddyAllocator {
         }
     }
 
-    /// Non-panicking invariant check: free lists must not overlap each
-    /// other or allocations, the free-page counter must match the lists,
-    /// and every block must lie in a managed range. Returns the first
-    /// inconsistency found. The system-wide invariant auditor runs this
-    /// after simulation steps.
+    /// Non-panicking invariant check: free blocks must be aligned to their
+    /// order, no block may overlap another (free or allocated), the
+    /// free-page counter must match the lists, and every block must lie
+    /// in a managed range. Returns the first inconsistency found. The
+    /// system-wide invariant auditor runs this after simulation steps.
+    ///
+    /// A clean result is remembered with the mutation generation it saw.
+    /// Only the `&mut` entry points write the private state, and each
+    /// bumps the generation first, so while the generation stands still
+    /// the state is the one already checked and the call returns `Ok` at
+    /// once. Otherwise one allocation-free pass checks everything.
     pub fn validate(&self) -> Result<(), String> {
-        let mut covered: BTreeMap<u64, u64> = BTreeMap::new(); // start -> end
-        let mut add = |s: u64, e: u64| -> Result<(), String> {
-            if let Some((_, &pe)) = covered.range(..=s).next_back() {
-                if pe > s {
-                    return Err(format!("block [{s:#x},{e:#x}) overlaps previous"));
-                }
-            }
-            if let Some((&ns, _)) = covered.range(s + 1..).next() {
-                if e > ns {
-                    return Err(format!("block [{s:#x},{e:#x}) overlaps next"));
-                }
-            }
-            covered.insert(s, e);
-            Ok(())
-        };
-        let mut free_total = 0u64;
-        for (o, list) in self.free.iter().enumerate() {
-            for &head in list {
-                if head % (1 << o) != 0 {
-                    return Err(format!("unaligned free block {head:#x} order {o}"));
-                }
-                add(head, head + (1 << o))?;
-                free_total += 1 << o;
-            }
+        if self.clean_at.get() == Some(self.generation) {
+            return Ok(());
         }
-        for (&head, info) in &self.allocated {
-            add(head, head + (1u64 << info.order))?;
+        self.sweep()?;
+        self.clean_at.set(self.generation);
+        Ok(())
+    }
+
+    /// The full check behind [`BuddyAllocator::validate`]: one walk over
+    /// every block in address order, merging the sorted free lists with
+    /// the allocated map. Alignment and overlap are reported as the walk
+    /// meets them, then counter drift, then the first block outside the
+    /// managed ranges.
+    fn sweep(&self) -> Result<(), String> {
+        let mut lists: [_; (MAX_ORDER + 1) as usize] =
+            std::array::from_fn(|o| self.free[o].iter().copied().peekable());
+        let mut allocated = self.allocated.iter().peekable();
+        let mut covered_to = 0u64;
+        let mut free_total = 0u64;
+        let mut unmanaged = None;
+        loop {
+            // The lowest head left; on a tie the allocated block first,
+            // then the lowest order.
+            let mut next = allocated
+                .peek()
+                .map(|(&head, info)| (head, info.order, false));
+            for (o, list) in lists.iter_mut().enumerate() {
+                if let Some(&head) = list.peek() {
+                    if next.is_none_or(|(h, ..)| head < h) {
+                        next = Some((head, o as u8, true));
+                    }
+                }
+            }
+            let Some((s, order, free)) = next else { break };
+            let e = s + (1u64 << order);
+            if free {
+                lists[order as usize].next();
+                if s % (1 << order) != 0 {
+                    return Err(format!("unaligned free block {s:#x} order {order}"));
+                }
+                free_total += 1 << order;
+            } else {
+                allocated.next();
+            }
+            if s < covered_to {
+                return Err(format!("block [{s:#x},{e:#x}) overlaps previous"));
+            }
+            covered_to = e;
+            if unmanaged.is_none() && !self.managed_contig(s, e - s) {
+                unmanaged = Some((s, e));
+            }
         }
         if free_total != self.free_pages {
             return Err(format!(
@@ -411,11 +492,8 @@ impl BuddyAllocator {
                 self.free_pages
             ));
         }
-        // Everything covered must be managed.
-        for (&s, &e) in &covered {
-            if !self.managed_contig(s, e - s) {
-                return Err(format!("block [{s:#x},{e:#x}) outside managed ranges"));
-            }
+        if let Some((s, e)) = unmanaged {
+            return Err(format!("block [{s:#x},{e:#x}) outside managed ranges"));
         }
         Ok(())
     }
@@ -625,6 +703,174 @@ mod tests {
         assert!(all
             .iter()
             .any(|(p, i)| *p == p2 && i.migrate == MigrateType::Movable));
+    }
+
+    #[test]
+    fn range_queries_see_blocks_that_start_below_the_range() {
+        let mut b = mk(2048);
+        let (big, _) = b.alloc_pages(MAX_ORDER, MigrateType::Unmovable).unwrap();
+        let (small, _) = b.alloc_pages(0, MigrateType::Unmovable).unwrap();
+        assert_eq!((big, small), (Pfn(0), Pfn(1024)));
+        assert_eq!(b.first_allocated_in(Pfn(1023), 1), Some(big));
+        assert_eq!(b.first_allocated_in(Pfn(1024), 8), Some(small));
+        assert_eq!(b.first_allocated_in(Pfn(1025), 8), None);
+        let both: Vec<Pfn> = b
+            .allocated_in(Pfn(1000), 100)
+            .iter()
+            .map(|(p, _)| *p)
+            .collect();
+        assert_eq!(both, [big, small]);
+    }
+
+    /// An allocator managing `[0, npages)` whose free lists hold exactly
+    /// the `(head, order)` blocks in `free`, whose allocated map holds
+    /// those in `allocated`, and whose free-page counter reads `counter`:
+    /// state no public call sequence can reach.
+    fn planted(
+        npages: u64,
+        free: &[(u64, u8)],
+        allocated: &[(u64, u8)],
+        counter: u64,
+    ) -> BuddyAllocator {
+        let mut b = BuddyAllocator::new();
+        b.managed.insert(0, npages);
+        for &(head, order) in free {
+            b.free[order as usize].insert(head);
+        }
+        for &(head, order) in allocated {
+            let info = AllocInfo {
+                order,
+                migrate: MigrateType::Unmovable,
+            };
+            b.allocated.insert(head, info);
+        }
+        b.free_pages = counter;
+        b
+    }
+
+    #[test]
+    fn planted_consistent_state_validates() {
+        let b = planted(16, &[(0, 2), (4, 2), (12, 2)], &[(8, 2)], 12);
+        assert_eq!(b.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_reports_an_unaligned_free_block() {
+        let b = planted(16, &[(0, 0), (1, 0), (2, 1), (4, 3), (12, 2)], &[], 16);
+        assert_eq!(
+            b.validate(),
+            Err("unaligned free block 0x4 order 3".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_reports_free_blocks_overlapping_across_orders() {
+        let b = planted(16, &[(0, 4), (8, 3)], &[], 24);
+        assert_eq!(
+            b.validate(),
+            Err("block [0x8,0x10) overlaps previous".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_reports_a_free_block_overlapping_an_allocated_one() {
+        let b = planted(16, &[(0, 3), (8, 3)], &[(4, 2)], 16);
+        assert_eq!(
+            b.validate(),
+            Err("block [0x4,0x8) overlaps previous".to_string())
+        );
+        // At a shared head the allocated block is met first.
+        let b = planted(16, &[(0, 3), (8, 3)], &[(0, 0)], 16);
+        assert_eq!(
+            b.validate(),
+            Err("block [0x0,0x8) overlaps previous".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_reports_a_block_outside_the_managed_ranges() {
+        let b = planted(16, &[(0, 4)], &[(16, 2)], 16);
+        assert_eq!(
+            b.validate(),
+            Err("block [0x10,0x14) outside managed ranges".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_reports_counter_drift() {
+        let b = planted(16, &[(0, 4)], &[], 15);
+        assert_eq!(
+            b.validate(),
+            Err("free-page counter drifted: lists hold 16, counter says 15".to_string())
+        );
+    }
+
+    /// The drift message for an allocator whose counter reads one page
+    /// more than its lists hold.
+    fn drift_by_one(b: &BuddyAllocator) -> Result<(), String> {
+        let counter = b.free_page_count();
+        Err(format!(
+            "free-page counter drifted: lists hold {}, counter says {counter}",
+            counter - 1
+        ))
+    }
+
+    #[test]
+    fn every_mutator_moves_the_generation() {
+        type Mutation = fn(&mut BuddyAllocator);
+        let mutations: [(&str, Mutation); 7] = [
+            ("add_range", |b| {
+                b.add_range(Pfn(1024), 64);
+            }),
+            ("remove_range", |b| {
+                b.remove_range(Pfn(512), 64).unwrap();
+            }),
+            ("refused remove_range", |b| {
+                b.remove_range(Pfn(0), 64).unwrap_err();
+            }),
+            ("alloc_pages", |b| {
+                b.alloc_pages(0, MigrateType::Movable).unwrap();
+            }),
+            ("alloc_pages_excluding", |b| {
+                let excl = Some((Pfn(0), 512));
+                b.alloc_pages_excluding(0, MigrateType::Unmovable, excl)
+                    .unwrap();
+            }),
+            ("failed alloc_pages", |b| {
+                assert!(b.alloc_pages(MAX_ORDER, MigrateType::Movable).is_none());
+            }),
+            ("free_pages", |b| {
+                b.free_pages(Pfn(0));
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut b = mk(1024);
+            b.alloc_pages(0, MigrateType::Unmovable).unwrap(); // pfn 0
+            assert_eq!(b.validate(), Ok(()), "{name}");
+            // A fault planted behind the allocator's back goes unseen while
+            // the generation stands still ...
+            b.free_pages += 1;
+            assert_eq!(b.validate(), Ok(()), "{name}: unchanged, not walked");
+            // ... and is found by the first check after any mutation.
+            mutate(&mut b);
+            assert_eq!(b.validate(), drift_by_one(&b), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_clean_check_vouches_only_for_the_state_it_saw() {
+        let mut original = mk(1024);
+        assert_eq!(original.validate(), Ok(()));
+        // A clone carries the clean check with the state it covers.
+        let mut copy = original.clone();
+        copy.free_pages += 1;
+        assert_eq!(copy.validate(), Ok(()), "the copied check covers the copy");
+        // Both then move one generation on, to different states; checking
+        // the original must not vouch for the clone.
+        copy.alloc_pages(0, MigrateType::Movable).unwrap();
+        original.alloc_pages(0, MigrateType::Movable).unwrap();
+        assert_eq!(original.validate(), Ok(()));
+        assert_eq!(copy.validate(), drift_by_one(&copy));
     }
 
     #[test]

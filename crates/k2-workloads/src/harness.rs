@@ -622,11 +622,14 @@ impl TestSystemBuilder {
     /// Panics if the snapshot was frozen under a different [`SystemConfig`]
     /// than this builder's — the fork would silently model a different SoC.
     pub fn build_from(self, snap: &SystemSnapshot) -> TestSystem {
-        assert_eq!(
-            format!("{:?}", snap.sys.config),
-            format!("{:?}", self.config),
-            "snapshot was frozen under a different config"
-        );
+        // Compare by value; format the two configs only for the message.
+        if snap.sys.config != self.config {
+            assert_eq!(
+                format!("{:?}", snap.sys.config),
+                format!("{:?}", self.config),
+                "snapshot was frozen under a different config"
+            );
+        }
         let (m, sys) = K2System::fork(snap);
         self.apply_knobs(m, sys)
     }
@@ -655,6 +658,13 @@ impl TestSystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "snapshot was frozen under a different config")]
+    fn forking_an_image_frozen_under_another_config_panics() {
+        let image = TestSystem::freeze_boot(SystemConfig::linux());
+        TestSystem::builder().build_from(&image);
+    }
 
     #[test]
     fn workload_bytes_and_labels() {

@@ -53,7 +53,7 @@ pub enum SystemMode {
 }
 
 /// Boot-time configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SystemConfig {
     /// K2 or the baseline.
     pub mode: SystemMode,

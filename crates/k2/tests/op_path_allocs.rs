@@ -1,4 +1,5 @@
-//! Allocation guards for the shadowed-service op path and for a fork.
+//! Allocation guards for the shadowed-service op path, for a fork and
+//! for an invariant audit.
 //!
 //! Every simulated syscall into a shadowed service runs through
 //! `k2::system::shadowed`. Its bookkeeping (the access trace, DSM
@@ -11,9 +12,17 @@
 //! blocks and the disk's 64-slot chunks are shared copy-on-write, not
 //! copied.
 //!
-//! A counting global allocator pins both down, in allocations and bytes.
+//! Scenario runs audit every 64 events, and each audit checks every
+//! registered law, the buddy allocators of both kernels among them. An
+//! audit must read the state it checks without allocating: a buddy
+//! allocator that has not changed since its last clean check is not
+//! walked again, and one that has is walked in place.
+//!
+//! A counting global allocator pins all three down, in allocations and
+//! bytes.
 
-use k2::system::{shadowed, K2System, SystemConfig};
+use k2::system::{shadowed, K2Machine, K2System, SystemConfig};
+use k2_kernel::mm::buddy::MigrateType;
 use k2_kernel::service::ServiceId;
 use k2_soc::ids::DomainId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,4 +115,40 @@ fn a_fork_allocates_under_16_kib() {
         size < 16 << 10 && spent <= 47,
         "a fork allocated {size} B in {spent} allocations (want < 16,384 B in <= 47)"
     );
+}
+
+#[test]
+fn an_audit_allocates_nothing() {
+    let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
+    m.enable_audit(1);
+    // Warm-up: the first audit records each energy meter's baseline.
+    let now = m.now();
+    m.run_until(now, &mut sys);
+    // No event is due at `now`, so only the final audit runs, and it
+    // checks every registered law.
+    let audit = |m: &mut K2Machine, sys: &mut K2System, what: &str| {
+        let checks = m.auditor().checks_run();
+        let (allocs_before, bytes_before) = (allocs(), bytes());
+        let now = m.now();
+        m.run_until(now, sys);
+        let (spent, size) = (allocs() - allocs_before, bytes() - bytes_before);
+        assert_eq!(
+            m.auditor().checks_run(),
+            checks + 1,
+            "{what}: one audit ran"
+        );
+        assert!(m.auditor().is_clean(), "{what}: {}", m.auditor().report());
+        assert_eq!(
+            (spent, size),
+            (0, 0),
+            "{what}: an audit allocated {size} B in {spent} allocations"
+        );
+    };
+    audit(&mut m, &mut sys, "allocators unchanged");
+    // A change since the last clean check forces a full walk of the
+    // strong kernel's allocator.
+    let buddy = &mut sys.world.kernels[0].buddy;
+    let (page, _) = buddy.alloc_pages(0, MigrateType::Unmovable).unwrap();
+    buddy.free_pages(page);
+    audit(&mut m, &mut sys, "after an alloc/free pair");
 }
