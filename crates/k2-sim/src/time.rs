@@ -279,8 +279,28 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// Nanoseconds per second: the scale between cycles and durations.
+const NS_PER_SEC: u64 = 1_000_000_000;
+
+/// `a * b / d`, rounded up and saturated at `u64::MAX`. The product is
+/// formed in `u64` whenever it fits, so only overflowing operands pay for
+/// a `u128` division; both paths give the same value.
+#[inline]
+fn mul_div_ceil(a: u64, b: u64, d: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p.div_ceil(d),
+        None => {
+            let q = (a as u128 * b as u128).div_ceil(d as u128);
+            q.min(u64::MAX as u128) as u64
+        }
+    }
+}
+
 /// Converts a cycle count at a given core frequency into a duration,
-/// rounding up so that work never takes zero time.
+/// rounding up so that work never takes zero time and saturating at
+/// [`SimDuration::MAX`]. Counts below 18,446,744,074 cycles (where
+/// `cycles × 10⁹` fits in a `u64`) are converted in `u64` arithmetic;
+/// only larger ones take a `u128` path.
 ///
 /// # Examples
 ///
@@ -295,9 +315,25 @@ impl fmt::Display for SimDuration {
 #[inline]
 pub fn cycles_to_duration(cycles: u64, hz: u64) -> SimDuration {
     assert!(hz > 0, "core frequency must be non-zero");
-    // ns = cycles * 1e9 / hz, rounded up, computed in u128 to avoid overflow.
-    let ns = ((cycles as u128) * 1_000_000_000).div_ceil(hz as u128);
-    SimDuration(ns.min(u64::MAX as u128) as u64)
+    SimDuration(mul_div_ceil(cycles, NS_PER_SEC, hz))
+}
+
+/// Converts a duration into whole cycles at `hz`, rounding up and
+/// saturating at `u64::MAX`: the inverse of [`cycles_to_duration`], with
+/// the same `u64` fast path whenever `ns × hz` fits.
+///
+/// # Examples
+///
+/// ```
+/// use k2_sim::time::{dur_to_cycles, SimDuration};
+///
+/// assert_eq!(dur_to_cycles(SimDuration::from_us(1), 350_000_000), 350);
+/// // A partial cycle counts as a whole one.
+/// assert_eq!(dur_to_cycles(SimDuration::from_ns(1), 350_000_000), 1);
+/// ```
+#[inline]
+pub fn dur_to_cycles(d: SimDuration, hz: u64) -> u64 {
+    mul_div_ceil(d.0, hz, NS_PER_SEC)
 }
 
 #[cfg(test)]
@@ -352,6 +388,80 @@ mod tests {
         assert_eq!(cycles_to_duration(1, 1_000_000_000).as_ns(), 1);
         assert_eq!(cycles_to_duration(3, 2_000_000_000).as_ns(), 2);
         assert_eq!(cycles_to_duration(0, 100).as_ns(), 0);
+    }
+
+    /// `a × b / d` rounded up and saturated, computed in `u128` throughout:
+    /// what both conversions are defined to return.
+    fn reference(a: u64, b: u64, d: u64) -> u64 {
+        (a as u128 * b as u128)
+            .div_ceil(d as u128)
+            .min(u64::MAX as u128) as u64
+    }
+
+    /// 1 Hz and the model's core frequencies (M3, A9 operating points).
+    const FREQS: [u64; 5] = [1, 100_000_000, 200_000_000, 350_000_000, 1_200_000_000];
+
+    #[test]
+    fn cycles_to_duration_matches_u128_across_the_fast_path_boundary() {
+        // The largest count whose `cycles × 10⁹` fits in a u64.
+        let edge = u64::MAX / NS_PER_SEC;
+        assert_eq!(edge, 18_446_744_073);
+        assert!((edge + 1).checked_mul(NS_PER_SEC).is_none());
+        for hz in FREQS {
+            for cycles in [
+                0,
+                1,
+                edge - 1,
+                edge,
+                edge + 1,
+                edge + 2,
+                u64::MAX / 2,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    cycles_to_duration(cycles, hz).as_ns(),
+                    reference(cycles, NS_PER_SEC, hz),
+                    "{cycles} cycles at {hz} Hz"
+                );
+            }
+        }
+        // Saturates instead of wrapping.
+        assert_eq!(cycles_to_duration(u64::MAX, 350_000_000), SimDuration::MAX);
+        assert_eq!(cycles_to_duration(edge + 1, 1), SimDuration::MAX);
+    }
+
+    #[test]
+    fn dur_to_cycles_matches_u128_across_the_fast_path_boundary() {
+        for hz in FREQS {
+            // `ns × hz` fits in a u64 up to `last` and overflows above it
+            // (at 1 Hz it never does).
+            let last = u64::MAX / hz;
+            let mut durations = vec![0, 1, last - 1, last, u64::MAX];
+            if let Some(over) = last.checked_add(1) {
+                assert!(over.checked_mul(hz).is_none());
+                durations.extend([over, over.saturating_add(1)]);
+            }
+            for ns in durations {
+                assert_eq!(
+                    dur_to_cycles(SimDuration::from_ns(ns), hz),
+                    reference(ns, hz, NS_PER_SEC),
+                    "{ns} ns at {hz} Hz"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dur_to_cycles_saturates() {
+        // Truncating the u128 quotient gave the true value mod 2⁶⁴
+        // (3,689,348,814,741,910,322) here.
+        assert_eq!(dur_to_cycles(SimDuration::MAX, 1_200_000_000), u64::MAX);
+        // Below 1 GHz the product overflows but the quotient fits.
+        assert_eq!(
+            dur_to_cycles(SimDuration::MAX, 350_000_000),
+            6_456_360_425_798_343_066
+        );
+        assert_eq!(dur_to_cycles(SimDuration::MAX, 1), 18_446_744_074);
     }
 
     #[test]

@@ -57,6 +57,45 @@ fn gate(w: &mut K2System, cx: &TaskCx, id: &TaskIdentity) -> Option<Step> {
 }
 
 // ----------------------------------------------------------------------
+// Payload patterns
+// ----------------------------------------------------------------------
+
+/// Every byte value in order. Byte `i` of a pattern with period `p` is
+/// `i % p`, so each period-long stretch of one is a prefix of this ramp.
+static RAMP: [u8; 256] = {
+    let mut ramp = [0u8; 256];
+    let mut i = 0;
+    while i < ramp.len() {
+        ramp[i] = i as u8;
+        i += 1;
+    }
+    ramp
+};
+
+/// The `len`-byte payload whose byte `i` is `(start + i) % period`. The
+/// host pays one copy per byte and no per-byte arithmetic: the buffer is
+/// allocated at its exact length and filled with period-long slices of
+/// `RAMP`.
+fn ramp_payload(start: u64, len: u64, period: usize) -> Vec<u8> {
+    let len = usize::try_from(len).expect("payload fits in memory");
+    let mut out = Vec::with_capacity(len);
+    let mut phase = (start % period as u64) as usize;
+    while out.len() < len {
+        let take = (period - phase).min(len - out.len());
+        out.extend_from_slice(&RAMP[phase..phase + take]);
+        phase = 0;
+    }
+    out
+}
+
+/// `true` if `payload` is what `ramp_payload(0, payload.len(), period)`
+/// builds: every period-long chunk equals the ramp's prefix. Compares
+/// slices, so it allocates nothing and does no per-byte arithmetic.
+fn is_ramp_payload(payload: &[u8], period: usize) -> bool {
+    payload.chunks(period).all(|c| c == &RAMP[..c.len()])
+}
+
+// ----------------------------------------------------------------------
 // DMA benchmark (§9.2, Figure 6a; §9.4, Table 6)
 // ----------------------------------------------------------------------
 
@@ -73,6 +112,9 @@ pub struct DmaBenchTask {
     finishing: bool,
     report: ReportHandle,
 }
+
+/// Period of the DMA benchmark's source pattern.
+const DMA_PERIOD: usize = 251;
 
 impl DmaBenchTask {
     /// Creates the task. `deadline` bounds fixed-duration runs (Table 6);
@@ -126,7 +168,7 @@ impl Task<K2System> for DmaBenchTask {
             );
             let src = src_pfn.base();
             let dst = dst_pfn.base();
-            let pattern: Vec<u8> = (0..self.batch).map(|i| (i % 251) as u8).collect();
+            let pattern = ramp_payload(0, self.batch, DMA_PERIOD);
             m.ram_mut().write(src, &pattern);
             self.buffers = Some((src, dst, vec![src_pfn, dst_pfn]));
             return Step::ComputeTime { dur: d1 + d2 };
@@ -189,6 +231,10 @@ pub struct Ext2BenchTask {
 
 /// Write chunk: the VFS path hands the filesystem up to 64 KB at a time.
 const WRITE_CHUNK: u64 = 64 * 1024;
+
+/// Period of the ext2 benchmark's file contents (byte at file offset `o`
+/// is `o % EXT2_PERIOD`).
+const EXT2_PERIOD: usize = 239;
 
 impl Ext2BenchTask {
     /// Creates the task; `run_tag` keeps file names unique across runs.
@@ -269,7 +315,7 @@ impl Task<K2System> for Ext2BenchTask {
                     kernel.pagecache.insert(ino, first_blk + i, h);
                 }
             }
-            let data: Vec<u8> = (0..n).map(|i| ((self.offset + i) % 239) as u8).collect();
+            let data = ramp_payload(self.offset, n, EXT2_PERIOD);
             let off = self.offset;
             let (res, d) = shadowed(w, m, cx.core, ServiceId::Fs, |s, opcx| {
                 s.fs.write(ino, off, &data, opcx)
@@ -321,6 +367,9 @@ pub struct UdpBenchTask {
 
 /// Datagram payload size (a full-MTU packet).
 const DATAGRAM: u64 = 1_024;
+
+/// Period of the UDP benchmark's datagram payloads.
+const UDP_PERIOD: usize = 131;
 
 impl UdpBenchTask {
     /// Creates the task.
@@ -375,13 +424,14 @@ impl Task<K2System> for UdpBenchTask {
         let (a, b) = self.sockets.expect("sockets bound");
         // One send + one receive.
         let n = DATAGRAM.min(self.total - self.done);
-        let payload: Vec<u8> = (0..n).map(|i| (i % 131) as u8).collect();
+        let payload = ramp_payload(0, n, UDP_PERIOD);
         let (received, dur) = shadowed(w, m, cx.core, ServiceId::Net, |s, opcx| {
             s.net.send(a, b, &payload, opcx).expect("send");
             s.net.recv(b, opcx).expect("recv")
         });
         let dg = received.expect("loopback delivers immediately");
         assert_eq!(dg.payload.len() as u64, n, "payload intact");
+        assert!(is_ramp_payload(&dg.payload, UDP_PERIOD), "payload intact");
         self.done += n;
         self.in_batch += n;
         {
@@ -631,6 +681,9 @@ pub struct CloudFetchTask {
     report: ReportHandle,
 }
 
+/// Period of the simulated cloud endpoint's replies.
+const CLOUD_PERIOD: usize = 127;
+
 impl CloudFetchTask {
     /// Creates a task performing `fetches` request/replies of
     /// `reply_bytes` each over a link with the given round-trip time.
@@ -694,6 +747,7 @@ impl Task<K2System> for CloudFetchTask {
             match got {
                 Some(dg) => {
                     assert_eq!(dg.payload.len() as u64, self.reply_bytes);
+                    assert!(is_ramp_payload(&dg.payload, CLOUD_PERIOD), "payload intact");
                     self.waiting = false;
                     self.fetches -= 1;
                     let mut r = self.report.lock().expect("report lock poisoned");
@@ -714,7 +768,7 @@ impl Task<K2System> for CloudFetchTask {
             opcx.read(0);
             s.net.socket_count()
         });
-        let reply: Vec<u8> = (0..self.reply_bytes).map(|i| (i % 127) as u8).collect();
+        let reply = ramp_payload(0, self.reply_bytes, CLOUD_PERIOD);
         system::net_expect_reply(w, m, port, k2_kernel::net::Port(443), reply, self.rtt);
         self.waiting = true;
         Step::ComputeTime { dur }
@@ -722,5 +776,65 @@ impl Task<K2System> for CloudFetchTask {
 
     fn name(&self) -> &str {
         "cloud-fetch"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-byte formula the payloads were first built with.
+    fn per_byte(start: u64, len: u64, period: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((start + i) % period as u64) as u8)
+            .collect()
+    }
+
+    const PERIODS: [usize; 4] = [DMA_PERIOD, EXT2_PERIOD, UDP_PERIOD, CLOUD_PERIOD];
+
+    #[test]
+    fn ramp_payloads_match_the_per_byte_formula() {
+        for period in PERIODS {
+            let p = period as u64;
+            for start in [0, p - 1, p, 65_535] {
+                for len in [0, 1, p, p + 1, 1_024, 8_192, WRITE_CHUNK] {
+                    let built = ramp_payload(start, len, period);
+                    let at = format!("period {period}, start {start}, len {len}");
+                    assert!(built == per_byte(start, len, period), "{at}");
+                    // Filled in place: never grown past its first allocation.
+                    let exact = Vec::<u8>::with_capacity(len as usize).capacity();
+                    assert_eq!(built.capacity(), exact, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_payload_check_accepts_exactly_the_pattern() {
+        for period in PERIODS {
+            for len in [0, 1, period as u64, 1_024, 8_192] {
+                let mut payload = ramp_payload(0, len, period);
+                assert!(
+                    is_ramp_payload(&payload, period),
+                    "period {period}, len {len}"
+                );
+                if len == 0 {
+                    continue;
+                }
+                // A changed first, middle or last byte is caught.
+                for at in [0, payload.len() / 2, payload.len() - 1] {
+                    payload[at] ^= 1;
+                    assert!(
+                        !is_ramp_payload(&payload, period),
+                        "period {period}, byte {at}"
+                    );
+                    payload[at] ^= 1;
+                }
+                // So is the pattern of a neighbouring period or phase. Up
+                // to one period long, both periods give the same bytes.
+                assert!(len <= period as u64 || !is_ramp_payload(&payload, period + 1));
+                assert!(!is_ramp_payload(&ramp_payload(1, len, period), period));
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ use k2_kernel::service::{OpCx, ServiceId};
 use k2_sim::digest::Fnv64;
 use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, HistogramId, Key, Tag};
-use k2_sim::time::SimDuration;
+use k2_sim::time::{dur_to_cycles, SimDuration};
 use k2_soc::core::Isa;
 use k2_soc::dma::{DmaStatus, DmaXferId};
 use k2_soc::hwspinlock::{HwLockId, HWSPINLOCK_OP};
@@ -999,11 +999,6 @@ pub fn a9_point(freq_hz: u64) -> k2_soc::power::CorePowerParams {
         active_mw: k2_soc::power::a9_active_mw(freq_hz),
         ..k2_soc::power::CorePowerParams::cortex_a9_350mhz()
     }
-}
-
-/// Converts a duration to whole cycles at `hz` (rounding up).
-pub fn dur_to_cycles(d: SimDuration, hz: u64) -> u64 {
-    (d.as_ns() as u128 * hz as u128).div_ceil(1_000_000_000) as u64
 }
 
 // ----------------------------------------------------------------------
