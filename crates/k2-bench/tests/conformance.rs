@@ -2,6 +2,10 @@
 //! `.k2.md` files; this suite proves each eval runs from its file and
 //! that the in-file expected-results table holds — the same check
 //! `k2 <eval>` and the CI matrix job perform, pinned as a cargo test.
+//!
+//! It also pins `k2 all`'s standard output byte for byte against
+//! `tests/golden/k2_all.txt`. `K2_BLESS=1` rewrites the file instead of
+//! comparing: `K2_BLESS=1 cargo test -p k2-bench --test conformance`.
 
 use k2_bench::conformance;
 use k2_check::dsl::builtin;
@@ -72,5 +76,32 @@ fn grid_scenarios_are_not_evals_and_vice_versa() {
         EVALS.len() + builtin::GRID.len() + fleets,
         builtin::SOURCES.len(),
         "every checked-in scenario is grid, eval, or fleet"
+    );
+}
+
+/// Table 1, Table 3, Fig 6 a–c, Fig 6 on flash and the three ablations
+/// have no expect table of their own, so `k2 all`'s whole report is
+/// pinned instead.
+#[test]
+fn k2_all_output_matches_its_pin() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_k2"))
+        .arg("all")
+        .output()
+        .expect("spawn k2");
+    assert_eq!(out.status.code(), Some(0), "k2 all failed");
+    let got = String::from_utf8(out.stdout).expect("k2 all prints UTF-8");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/k2_all.txt");
+    if std::env::var("K2_BLESS").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &got).expect("write the pin");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("no pin at {} ({e})", path.display()));
+    assert!(
+        got == want,
+        "k2 all diverged from {}. If the change is intended, re-bless with \
+         K2_BLESS=1 cargo test -p k2-bench --test conformance\n\
+         --- pinned ---\n{want}\n--- actual ---\n{got}",
+        path.display()
     );
 }

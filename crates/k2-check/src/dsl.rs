@@ -26,9 +26,10 @@
 //!   Sizes accept `K`/`M` suffixes.
 //! * `k2 steps` — a table `| op | args |` of imperative setup steps, run
 //!   in file order after the grid spawns: `hook-last-wins`
-//!   (`domain`, `metric`) installs the planted last-value-wins mailbox
-//!   ISR; `send-mail` (`from`, `to`, `value`) enqueues a cross-domain
-//!   mail.
+//!   (`domain`, `metric`) plants the last-value-wins mailbox ISR (the
+//!   world's raw mail drain, `K2System::raw_mail`) and reports the
+//!   domain's last payload as `metric`; `send-mail` (`from`, `to`,
+//!   `value`) enqueues a cross-domain mail.
 //! * `k2 faults preset=<name>` — key/value fault knobs (`mail_drop`,
 //!   `mail_duplicate`, `dma_fail`, `dma_partial`, each a rate in
 //!   `[0, 1]`). The preset `none` always exists implicitly.
@@ -47,14 +48,12 @@
 //! structural content (prose is documentation, not state).
 
 use crate::scenario::{self, FaultSpec, RunOptions, RunOutcome};
-use k2::system::{K2Machine, K2System, SystemSnapshot};
+use k2::system::SystemSnapshot;
 use k2_sim::explore::ScheduleChooser;
-use k2_soc::ids::{DomainId, IrqId};
+use k2_soc::ids::DomainId;
 use k2_soc::mailbox::Mail;
 use k2_workloads::harness::{GridRow, TestSystem, Workload};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// A parse or validation rejection, anchored to a 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -545,29 +544,12 @@ impl CompiledScenario {
     /// file order, then the pulse tasks, then run-to-idle.
     fn drive(&self, t: &mut TestSystem) -> Vec<(String, String)> {
         let grid_handles = t.spawn_grid(&self.rows);
-        // Hook cells are atomics because the hook must be `Send`. The
-        // value publishes no other data and is read after the run on
-        // this thread, so `Relaxed` suffices.
-        let mut hook_cells: Vec<(String, Arc<AtomicU32>)> = Vec::new();
+        let mut planted: Vec<(String, DomainId)> = Vec::new();
         for step in &self.steps {
             match step {
                 StepDef::HookLastWins { domain, metric } => {
-                    let dom = *domain;
-                    let last = Arc::new(AtomicU32::new(0));
-                    let cell = Arc::clone(&last);
-                    t.m.set_irq_hook(
-                        dom,
-                        IrqId::mailbox_for(dom),
-                        Box::new(move |_w: &mut K2System, m: &mut K2Machine, _cx| {
-                            let mut cycles = 0u64;
-                            while let Some(env) = m.mailbox_recv(dom) {
-                                cell.store(env.mail.0, Ordering::Relaxed);
-                                cycles += 120;
-                            }
-                            cycles
-                        }),
-                    );
-                    hook_cells.push((metric.clone(), last));
+                    t.sys.raw_mail.insert(*domain, 0);
+                    planted.push((metric.clone(), *domain));
                 }
                 StepDef::SendMail { from, to, value } => {
                     t.m.mailbox_send(*from, *to, Mail(*value));
@@ -583,9 +565,8 @@ impl CompiledScenario {
                 (metric, bytes.to_string())
             })
             .collect();
-        for (metric, cell) in hook_cells {
-            let last = cell.load(Ordering::Relaxed);
-            extras.push((metric, format!("{last:08x}")));
+        for (metric, dom) in planted {
+            extras.push((metric, format!("{:08x}", t.sys.raw_mail[&dom])));
         }
         extras
     }

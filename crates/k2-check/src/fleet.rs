@@ -14,14 +14,16 @@
 //!   tables; perfbench's `fork.us` and `snapshot.freeze_ms` track both
 //!   sides today).
 //! * **The coordinator owns the machines.** Machines are `Send` (their
-//!   tasks, hooks and chooser carry a `Send` bound), so the coordinator
-//!   keeps them in one `Vec` in machine-index order. Each epoch it
-//!   injects the datagrams due (sorted by `(arrival, seq)`), runs
-//!   contiguous chunks of machines to the epoch boundary on scoped
-//!   threads (the first chunk on the coordinator's own thread, so one
-//!   worker spawns none), then makes one pass in machine-index order
+//!   tasks and chooser carry a `Send` bound; everything else is data),
+//!   so the coordinator keeps them in one `Vec` in machine-index order.
+//!   Each epoch it injects the datagrams due (sorted by `(arrival,
+//!   seq)`), runs contiguous chunks of machines to the epoch boundary on
+//!   scoped threads (the first chunk on the coordinator's own thread, so
+//!   one worker spawns none), then makes one pass in machine-index order
 //!   that samples the timeline and routes every machine's egress
-//!   through the fabric.
+//!   through the fabric. A member that panics is named in the panic
+//!   raised once every chunk has joined: its index, the epoch and the
+//!   seed.
 //! * **One determinism argument.** Machines share no state within an
 //!   epoch, so how they are grouped onto threads cannot change what any
 //!   of them does; everything that crosses machines — sampling, fabric
@@ -52,6 +54,7 @@ use k2_sim::time::{SimDuration, SimTime};
 use k2_soc::ids::DomainId;
 use k2_soc::platform::{Step, Task, TaskCx};
 use std::fmt::Write as _;
+use std::panic::{self, AssertUnwindSafe};
 
 /// The well-known port every hub listens on.
 pub const HUB_PORT: Port = Port(4433);
@@ -871,20 +874,46 @@ fn fork_member(spec: &FleetSpec, snap: &SystemSnapshot, index: u32) -> Member {
 /// Runs every member to `until`, in contiguous chunks of `chunk`
 /// machines, one scoped thread per chunk. The first chunk runs on the
 /// calling thread, so a one-chunk fleet spawns no thread at all.
-fn advance(members: &mut [Member], chunk: usize, until: SimTime) {
-    let run = |c: &mut [Member]| {
-        for mb in c {
-            mb.m.run_until(until, &mut mb.sys);
-        }
+///
+/// # Panics
+///
+/// Once every chunk has joined, a panic inside a member is raised again
+/// as `fleet machine <i> panicked in epoch <epoch> (seed <seed>): <message>`
+/// for the lowest-indexed member that panicked, whichever thread ran it.
+fn advance(members: &mut [Member], chunk: usize, until: SimTime, epoch: u32, seed: u64) {
+    // Runs the chunk starting at fleet index `base`; a panic comes back
+    // with the index of the member that raised it.
+    let run = |base: usize, c: &mut [Member]| {
+        let mut i = base;
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            for mb in c {
+                mb.m.run_until(until, &mut mb.sys);
+                i += 1;
+            }
+        }))
+        .map_err(|payload| (i, payload))
     };
-    std::thread::scope(|scope| {
+    let failed = std::thread::scope(|scope| {
         let mut chunks = members.chunks_mut(chunk);
         let first = chunks.next().expect("a fleet has machines");
-        for c in chunks {
-            scope.spawn(move || run(c));
-        }
-        run(first);
+        let handles: Vec<_> = chunks
+            .enumerate()
+            .map(|(k, c)| scope.spawn(move || run((k + 1) * chunk, c)))
+            .collect();
+        let failed = run(0, first).err();
+        handles.into_iter().fold(failed, |failed, h| {
+            let joined = h.join().expect("a chunk catches its members' panics");
+            failed.or(joined.err())
+        })
     });
+    if let Some((i, payload)) = failed {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(a panic payload that is not a string)");
+        panic!("fleet machine {i} panicked in epoch {epoch} (seed {seed}): {msg}");
+    }
 }
 
 /// Runs the fleet described by `spec` and returns its report.
@@ -951,7 +980,7 @@ fn run_fleet_inner(
     let mut egress = Vec::new();
     let mut prev_events: u64 = members.iter().map(|mb| mb.m.events_processed()).sum();
     let mut now = snap.now();
-    for _ in 0..spec.epochs {
+    for epoch in 0..spec.epochs {
         let until = now + spec.epoch;
         let (drop0, reord0) = (fabric.stats().dropped, fabric.stats().reordered);
         // Deliveries due this epoch, sorted by (arrival, seq), so each
@@ -974,7 +1003,7 @@ fn run_fleet_inner(
                 rtt,
             );
         }
-        advance(&mut members, chunk, until);
+        advance(&mut members, chunk, until, epoch, spec.seed);
         // The one machine-index pass: sample, then route each machine's
         // egress, so the fabric RNG is consumed in a fixed order.
         let mut sample = EpochSample::default();
@@ -1084,6 +1113,40 @@ mod tests {
         s.epochs = 60;
         s.period = SimDuration::from_ms(5);
         s
+    }
+
+    /// Panics at its first step.
+    struct Bomb;
+
+    impl Task<K2System> for Bomb {
+        fn step(&mut self, _w: &mut K2System, _m: &mut K2Machine, _cx: TaskCx) -> Step {
+            panic!("bomb");
+        }
+    }
+
+    #[test]
+    fn a_panicking_member_names_its_index_epoch_and_seed() {
+        let spec = FleetSpec::sync_storm(4, 2);
+        let snap = warmed_snapshot();
+        // One worker runs member 4 on the calling thread; two run it in
+        // the spawned second chunk (members 3..6).
+        for workers in [1, 2] {
+            let mut members: Vec<Member> = (0..6).map(|i| fork_member(&spec, &snap, i)).collect();
+            let Member { m, sys, .. } = &mut members[4];
+            let core = K2System::kernel_core(m, DomainId::WEAK);
+            m.spawn(core, Box::new(Bomb), sys);
+            let chunk = 6usize.div_ceil(workers);
+            let until = snap.now() + spec.epoch;
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+                advance(&mut members, chunk, until, 3, spec.seed)
+            }))
+            .expect_err("member 4 panics");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("fleet machine 4 panicked in epoch 3 (seed 2014): bomb"),
+                "{workers} worker(s)"
+            );
+        }
     }
 
     #[test]

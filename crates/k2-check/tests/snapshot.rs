@@ -8,11 +8,16 @@
 //! equivalence differentially: every scenario runs both ways and the
 //! artifacts are compared byte for byte.
 
-use k2::system::K2System;
+use k2::system::{normal_blocked, schedule_in_normal, K2Machine, K2System, SystemConfig};
 use k2_check::explorer::{run_recorded, Campaign, Strategy};
 use k2_check::policy::{chooser_of, Baseline, RandomWalk, Replay};
 use k2_check::scenario::{FaultSpec, RunOptions, Scenario};
 use k2_check::schedule::Schedule;
+use k2_kernel::proc::ThreadKind;
+use k2_sim::json::JsonWriter;
+use k2_sim::time::SimDuration;
+use k2_soc::ids::DomainId;
+use k2_soc::FaultPlan;
 
 /// The two seeds the suite sweeps: the paper year, and its reverse.
 const SEEDS: [u64; 2] = [2014, 4202];
@@ -82,6 +87,55 @@ fn forked_faulted_runs_match_booted_runs() {
             assert_eq!(booted.end_state, forked.end_state);
         }
     }
+}
+
+/// A snapshot taken while a reliable-link retransmission is pending
+/// carries it: NightWatch mails under heavy loss and no live task, driven
+/// as the golden nightwatch cycle drives them, stop at the first instant
+/// a message has been retransmitted and an ack is still outstanding. The
+/// original and its fork then run on to the same digest and report.
+#[test]
+fn a_fork_taken_with_a_retransmission_pending_runs_identically() {
+    let (mut m, mut sys) = K2System::boot(SystemConfig::k2());
+    m.set_fault_plan(FaultPlan::builder(2014).mail_drop(0.3).build());
+    let procs = &mut sys.world.processes;
+    let pid = procs.create_process("app");
+    let normal = procs.create_thread(pid, ThreadKind::Normal, "main");
+    procs.create_thread(pid, ThreadKind::NightWatch, "bg");
+    let strong = K2System::kernel_core(&m, DomainId::STRONG);
+    let pending = |sys: &K2System| {
+        let l = sys.link_stats();
+        l.retransmits > 0 && l.sent > l.acked + l.gave_up
+    };
+    for step in 0.. {
+        if pending(&sys) {
+            break;
+        }
+        assert!(step < 40 * 400, "no retransmission pending after 40 mails");
+        if step % 400 == 0 {
+            let send = if step % 800 == 0 {
+                schedule_in_normal
+            } else {
+                normal_blocked
+            };
+            send(&mut sys, &mut m, strong, pid, normal);
+        }
+        m.run_until(m.now() + SimDuration::from_us(5), &mut sys);
+    }
+    let snap = K2System::snapshot(&m, &sys);
+    let (mut fm, mut fsys) = K2System::fork(&snap);
+    let end = m.now() + SimDuration::from_ms(20);
+    m.run_until(end, &mut sys);
+    fm.run_until(end, &mut fsys);
+    assert!(!pending(&fsys), "the pending message was settled");
+    let report = |m: &K2Machine, sys: &K2System| {
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        sys.write_profile_report(m, &mut w);
+        w.finish();
+        (K2System::snapshot(m, sys).digest(), out)
+    };
+    assert_eq!(report(&m, &sys), report(&fm, &fsys));
 }
 
 /// A chooser-driven (recorded random-walk) run forks identically too:

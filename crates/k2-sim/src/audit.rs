@@ -11,8 +11,9 @@
 //!
 //! The platform layer wires in the structural checks (energy meters
 //! monotone, no interrupt raised-but-lost, mailbox conservation); higher
-//! layers register their own laws (buddy accounting, the DSM single-writer
-//! invariant) as closures over their world state.
+//! layers check their own laws (buddy accounting, the DSM single-writer
+//! invariant) over their world state, in their `World::audit`
+//! (`k2-soc`).
 //!
 //! Auditing is off by default — production-shaped runs pay nothing — and
 //! tests switch it on. A stride lets soak tests audit every Nth step

@@ -7,8 +7,10 @@
 //! power state — Active while stepping, Idle when its run queue drains, and
 //! Inactive after the idle timeout, with wake-up penalties on the way back.
 //!
-//! The machine is generic over a world type `W`: the OS state that tasks and
-//! interrupt hooks mutate. The k2 crates instantiate `W` with the two-kernel
+//! The machine is generic over a [`World`]: the OS state that tasks mutate
+//! and the one trait through which the machine calls the OS — interrupt
+//! service, power transitions, timers and audits. The machine holds no OS
+//! code of its own. The k2 crates instantiate `W` with the two-kernel
 //! system; the machine itself knows nothing about operating systems.
 
 use crate::core::{CoreDesc, CoreKind};
@@ -58,7 +60,8 @@ pub enum Step {
         /// The line to wait for.
         irq: IrqId,
     },
-    /// Park until another task or hook calls [`Machine::wake`].
+    /// Park until another task or an interrupt handler calls
+    /// [`Machine::wake`].
     Block,
     /// Go to the back of this core's run queue.
     Yield,
@@ -103,7 +106,7 @@ pub trait Task<W>: Send {
     }
 }
 
-/// Context handed to interrupt hooks.
+/// Context handed to [`World::irq`].
 #[derive(Clone, Copy, Debug)]
 pub struct IrqCx {
     /// The interrupt line being handled.
@@ -116,26 +119,37 @@ pub struct IrqCx {
     pub now: SimTime,
 }
 
-/// An interrupt service hook: runs the handler's logic and returns its cost
-/// in core cycles, which the machine charges to the handling core.
+/// The OS a [`Machine`] drives: the state its tasks mutate, and the code
+/// the machine calls when the hardware needs the OS. The machine keeps no
+/// OS callbacks; it calls these four methods, and whatever they act on is
+/// the world's own data. A snapshot of a machine with no live tasks plus
+/// a clone of its world is therefore the whole system, and a fork needs
+/// nothing re-installed.
 ///
-/// Hooks, observers, deferred calls and world checks are `Send` for the
-/// same reason as [`Task`]: the machine that holds them moves between
-/// threads.
-pub type IrqHook<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, IrqCx) -> u64 + Send>;
+/// Every method defaults to doing nothing; `()` is the world with no OS.
+pub trait World: Sized {
+    /// Services `cx.irq` on `cx.domain` and returns the handler's cost in
+    /// core cycles, which the machine charges to `cx.core` on top of
+    /// interrupt entry.
+    fn irq(&mut self, _m: &mut Machine<Self>, _cx: IrqCx) -> u64 {
+        0
+    }
 
-/// Observer invoked on every core power-state transition (what K2 hooks to
-/// re-route shared interrupts, §7).
-pub type PowerObserver<W> = Box<dyn FnMut(&mut W, &mut Machine<W>, CoreId, PowerState) + Send>;
+    /// Called on every core power-state transition (what K2 uses to
+    /// re-route the shared interrupts, §7).
+    fn power_changed(&mut self, _m: &mut Machine<Self>, _core: CoreId, _state: PowerState) {}
 
-/// A deferred callback scheduled with [`Machine::call_after`]: kernel-side
-/// timer work (retransmit checks, watchdogs) that runs in event order
-/// without needing a live task.
-pub type DeferredCall<W> = Box<dyn FnOnce(&mut W, &mut Machine<W>) + Send>;
+    /// Called, in event order, when the timer [`Machine::call_after`]
+    /// returned `id` for falls due.
+    fn timer(&mut self, _m: &mut Machine<Self>, _id: u64) {}
 
-/// A world-state conservation law registered with
-/// [`Machine::add_invariant_check`], audited after simulation steps.
-pub type WorldCheck<W> = Box<dyn Fn(&W) -> Result<(), String> + Send>;
+    /// Checks the world's conservation laws and records each violation
+    /// in `auditor`. Called after the platform's own invariants whenever
+    /// the auditor samples a step.
+    fn audit(&self, _now: SimTime, _auditor: &mut InvariantAuditor) {}
+}
+
+impl World for () {}
 
 /// The attribution subsystems [`Machine`] charges active time to. Indexes
 /// into [`HotIds::active`]; the strings are the public metric tags.
@@ -284,17 +298,13 @@ struct CoreRt {
 /// The SoC-wide discrete-event machine. See the module docs.
 ///
 /// A machine is its data state, one plain `Clone` struct that snapshots
-/// copy whole, plus code the world layer installs: task bodies, interrupt
-/// hooks, power observers, world checks, deferred calls and the schedule
-/// chooser.
+/// copy whole, plus two kinds of code: the bodies of its live tasks and
+/// the schedule chooser. Everything else the OS does, it does through
+/// [`World`].
 pub struct Machine<W> {
     state: MachineState,
     tasks: Vec<Option<TaskSlot<W>>>,
-    hooks: BTreeMap<(DomainId, IrqId), Option<IrqHook<W>>>,
-    power_observers: Vec<PowerObserver<W>>,
     live_tasks: u64,
-    world_checks: Vec<(&'static str, WorldCheck<W>)>,
-    deferred: BTreeMap<u64, DeferredCall<W>>,
     schedule_chooser: Option<ScheduleChooser>,
     /// Reused across choice points so classifying a co-enabled set for the
     /// chooser allocates nothing in steady state.
@@ -351,15 +361,14 @@ impl<W> fmt::Debug for Machine<W> {
 /// plus the length of its task-slot table.
 ///
 /// What a snapshot deliberately does *not* capture is code: task bodies
-/// (`Box<dyn Task>`), interrupt hooks, power observers, invariant
-/// checks, deferred calls and any installed schedule chooser are
-/// closures, not data. A machine must therefore be *quiescent* when
-/// snapshotted — no live or parked tasks, no pending deferred calls —
-/// which is exactly the state a freshly booted system is in. The world
-/// layer re-installs its closures on every fork (see `K2System::fork`),
-/// so a fork plus reinstalled closures is observably indistinguishable
-/// from the original machine: DESIGN.md §5.7 gives the determinism
-/// argument.
+/// (`Box<dyn Task>`) and any installed schedule chooser. A machine must
+/// therefore have no live or parked tasks when snapshotted, which is
+/// the state a freshly booted system is in. Pending timers are no
+/// obstacle: a timer is an `Event::Call` in the queue, and what it means
+/// is the world's data (see [`World::timer`]). The OS reactions are the
+/// world's [`World`] methods, so a fork paired with a clone of the world
+/// is observably indistinguishable from the original machine: DESIGN.md
+/// §5.7 gives the determinism argument.
 ///
 /// The snapshot is `Send + Sync` plain data: freeze it once on a
 /// coordinator and fork from it on any number of worker threads.
@@ -367,7 +376,7 @@ impl<W> fmt::Debug for Machine<W> {
 pub struct MachineSnapshot {
     state: MachineState,
     /// Length of the task-slot table (every slot is vacant — see the
-    /// quiescence requirement), so forked machines keep allocating
+    /// no-live-tasks requirement), so forked machines keep allocating
     /// [`TaskId`]s from the same watermark.
     task_slots: usize,
 }
@@ -550,7 +559,7 @@ impl MachineState {
     }
 }
 
-impl<W> Machine<W> {
+impl<W: World> Machine<W> {
     /// Builds a machine from core descriptions and RAM size.
     ///
     /// # Panics
@@ -622,16 +631,12 @@ impl<W> Machine<W> {
     }
 
     /// A machine over `state` with `task_slots` vacant task slots and no
-    /// code installed.
+    /// schedule chooser.
     fn with_state(state: MachineState, task_slots: usize) -> Self {
         Machine {
             state,
             tasks: (0..task_slots).map(|_| None).collect(),
-            hooks: BTreeMap::new(),
-            power_observers: Vec::new(),
             live_tasks: 0,
-            world_checks: Vec::new(),
-            deferred: BTreeMap::new(),
             schedule_chooser: None,
             scratch_classes: Vec::new(),
         }
@@ -648,19 +653,14 @@ impl<W> Machine<W> {
     ///
     /// # Panics
     ///
-    /// Panics if the machine is not quiescent: a live or parked task, or
-    /// a pending deferred call, holds a closure a structural clone
-    /// cannot carry. A freshly booted system is always quiescent.
+    /// Panics if a live or parked task holds a body a structural clone
+    /// cannot carry. A freshly booted system has none; pending timers
+    /// are data and may be captured at any point.
     pub fn snapshot(&self) -> MachineSnapshot {
         assert!(
             self.tasks.iter().all(Option::is_none),
             "cannot snapshot a machine with live tasks ({} live): task bodies are closures",
             self.live_tasks
-        );
-        assert!(
-            self.deferred.is_empty(),
-            "cannot snapshot a machine with {} pending deferred calls: they are closures",
-            self.deferred.len()
         );
         MachineSnapshot {
             state: self.state.clone(),
@@ -669,11 +669,10 @@ impl<W> Machine<W> {
     }
 
     /// Rehydrates a machine from a frozen snapshot: the data state is
-    /// cloned back whole; the closure tables (interrupt hooks, power
-    /// observers, invariant checks, schedule chooser) come back *empty*
-    /// and must be re-installed by the world layer before the machine
-    /// runs — `K2System::fork` does exactly that, making a fork
-    /// byte-indistinguishable from the machine the snapshot froze.
+    /// cloned back whole and no schedule chooser is installed. Paired
+    /// with a clone of the world the snapshot was taken beside, the fork
+    /// is byte-indistinguishable from the machine the snapshot froze;
+    /// `K2System::fork` is exactly that pairing.
     pub fn fork(snap: &MachineSnapshot) -> Machine<W> {
         Machine::with_state(snap.state.clone(), snap.task_slots)
     }
@@ -681,12 +680,11 @@ impl<W> Machine<W> {
     /// 64-bit FNV-1a digest over the machine's current data state — the
     /// same fold [`MachineSnapshot::digest`] uses, so
     /// `m.state_digest() == m.snapshot().digest()` whenever the machine
-    /// is quiescent, and two machines agreeing here agree on everything
-    /// a snapshot would capture. Unlike [`Machine::snapshot`] this never
-    /// panics. Task bodies, hooks and deferred calls are closures and
-    /// are not folded, but they are never invisible: a pending deferred
-    /// call owns a live queue entry, and a live task is referenced by
-    /// its core's run state, a waiter list or a queued wake-up.
+    /// has no live tasks, and two machines agreeing here agree on
+    /// everything a snapshot would capture. Unlike [`Machine::snapshot`]
+    /// this never panics. Task bodies are closures and are not folded,
+    /// but a live task is never invisible: its core's run state, a
+    /// waiter list or a queued wake-up references it.
     pub fn state_digest(&self) -> u64 {
         self.state.digest(self.tasks.len(), true)
     }
@@ -869,8 +867,8 @@ impl<W> Machine<W> {
     }
 
     /// Runs the shutdown invariant audit (see
-    /// [`InvariantAuditor::begin_final`]): every registered check executes
-    /// at least once even when the run ends between stride points.
+    /// [`InvariantAuditor::begin_final`]): every check executes at least
+    /// once even when the run ends between stride points.
     fn final_audit(&mut self, w: &mut W) {
         if self.state.auditor.begin_final() {
             self.audit_step(w);
@@ -1282,22 +1280,19 @@ impl<W> Machine<W> {
         self.state.auditor.set_enabled(true);
     }
 
-    /// Registers a world-state conservation law; audited together with the
-    /// platform's own invariants whenever the auditor is enabled.
-    pub fn add_invariant_check(&mut self, name: &'static str, check: WorldCheck<W>) {
-        self.world_checks.push((name, check));
-    }
-
-    /// Schedules `f` to run once, `dur` from now, in event order — the
-    /// machine's equivalent of a kernel timer callback. Used by reliability
-    /// layers for retransmit deadlines and watchdogs.
-    pub fn call_after(&mut self, dur: SimDuration, f: DeferredCall<W>) {
+    /// Arms a one-shot timer `dur` from now and returns its id, the
+    /// machine's equivalent of a kernel timer: when it falls due, in
+    /// event order, the machine calls [`World::timer`] with the id. Ids
+    /// are sequential per machine. The world keeps what the timer means
+    /// as data keyed by the id; reliability layers arm retransmit
+    /// deadlines this way.
+    pub fn call_after(&mut self, dur: SimDuration) -> u64 {
         let id = self.state.next_call_id;
         self.state.next_call_id += 1;
-        self.deferred.insert(id, f);
         self.state
             .queue
             .schedule(self.state.now + dur, Event::Call { id });
+        id
     }
 
     /// Current simulated time.
@@ -1711,16 +1706,6 @@ impl<W> Machine<W> {
             .schedule(self.state.now + dur, Event::RaiseIrq { irq });
     }
 
-    /// Installs the ISR hook for `(dom, irq)`; at most one per pair.
-    pub fn set_irq_hook(&mut self, dom: DomainId, irq: IrqId, hook: IrqHook<W>) {
-        self.hooks.insert((dom, irq), Some(hook));
-    }
-
-    /// Registers an observer of core power-state transitions.
-    pub fn add_power_observer(&mut self, obs: PowerObserver<W>) {
-        self.power_observers.push(obs);
-    }
-
     /// Charges `dur` of execution to a core that is not running any task
     /// (e.g. the remote side of a DSM fault). A busy core is delayed, an
     /// idle core blips active, an inactive core is woken first. Returns the
@@ -1812,8 +1797,8 @@ impl<W> Machine<W> {
         }
     }
 
-    /// Checks the platform's conservation laws plus every registered world
-    /// check, recording violations in the auditor.
+    /// Checks the platform's conservation laws, then the world's
+    /// ([`World::audit`]), recording violations in the auditor.
     fn audit_step(&mut self, w: &mut W) {
         let now = self.state.now;
         // Energy meters are monotone per core.
@@ -1858,10 +1843,7 @@ impl<W> Machine<W> {
                 );
             }
         }
-        // World-state laws registered by the OS layers.
-        for (name, check) in &self.world_checks {
-            self.state.auditor.check_result(now, name, check(w));
-        }
+        w.audit(now, &mut self.state.auditor);
     }
 
     fn deadlock_panic(&self) -> ! {
@@ -2011,10 +1993,7 @@ impl<W> Machine<W> {
                 }
             }
             Event::RaiseIrq { irq } => self.raise_irq(irq, w),
-            Event::Call { id } => {
-                let f = self.deferred.remove(&id).expect("deferred call fires once");
-                f(w, self);
-            }
+            Event::Call { id } => w.timer(self, id),
         }
     }
 
@@ -2029,8 +2008,9 @@ impl<W> Machine<W> {
         }
     }
 
-    /// Delivers `irq` to `dom`: runs the hook on the domain's first core,
-    /// charges its cost, and wakes any tasks waiting for this line.
+    /// Delivers `irq` to `dom`: runs the world's handler on the domain's
+    /// first core, charges its cost, and wakes any tasks waiting for this
+    /// line.
     fn deliver_irq(&mut self, dom: DomainId, irq: IrqId, w: &mut W) {
         self.state.trace.record(
             self.state.now,
@@ -2047,26 +2027,17 @@ impl<W> Machine<W> {
         let core = self.state.domains[dom.index()][0];
         // The handler span parents on whatever is current — the mail
         // flight span when this is a mailbox delivery — and everything
-        // the hook does (bottom halves, replies) parents on the handler.
+        // the handler does (bottom halves, replies) parents on it.
         let span = self.state.spans.start(self.state.now, "irq", dom.0);
         self.state.spans.push_current(span);
-        // Run the hook's logic now; charge its time to the core.
-        let mut cycles = crate::calib::IRQ_ENTRY_INSTRUCTIONS;
-        if let Some(hook_slot) = self.hooks.get_mut(&(dom, irq)) {
-            let mut hook = hook_slot.take().expect("irq hook re-entered");
-            let cx = IrqCx {
-                irq,
-                domain: dom,
-                core,
-                now: self.state.now,
-            };
-            cycles += hook(w, self, cx);
-            // Re-install unless the hook replaced itself.
-            let slot = self.hooks.get_mut(&(dom, irq)).expect("hook slot exists");
-            if slot.is_none() {
-                *slot = Some(hook);
-            }
-        }
+        // Run the handler's logic now; charge its time to the core.
+        let cx = IrqCx {
+            irq,
+            domain: dom,
+            core,
+            now: self.state.now,
+        };
+        let cycles = crate::calib::IRQ_ENTRY_INSTRUCTIONS + w.irq(self, cx);
         self.state.spans.pop_current();
         self.state.spans.end(self.state.now, span);
         let dur = self.state.cores[core.index()].desc.cycles(cycles);
@@ -2303,17 +2274,7 @@ impl<W> Machine<W> {
                 state: code,
             },
         );
-        if self.power_observers.is_empty() {
-            return;
-        }
-        let mut observers = std::mem::take(&mut self.power_observers);
-        for obs in &mut observers {
-            obs(w, self, core, state);
-        }
-        // Observers registered during notification (rare) are appended.
-        let added = std::mem::take(&mut self.power_observers);
-        self.power_observers = observers;
-        self.power_observers.extend(added);
+        w.power_changed(self, core, state);
     }
 }
 
@@ -2322,11 +2283,36 @@ mod tests {
     use super::*;
     use crate::core::{CoreDesc, CoreKind};
 
-    type M = Machine<World>;
+    type M = Machine<TestWorld>;
 
-    #[derive(Default)]
-    struct World {
+    /// The tests' OS, all data: a log of task steps and handler runs,
+    /// the interrupt handlers as a table, and the power transitions and
+    /// timers the machine reported.
+    #[derive(Clone, Default)]
+    struct TestWorld {
         log: Vec<(u64, &'static str)>,
+        /// `(domain, line) -> (log label, cycles)` of each handler.
+        isrs: BTreeMap<(DomainId, IrqId), (&'static str, u64)>,
+        power: Vec<(CoreId, PowerState)>,
+        fired: Vec<(SimTime, u64)>,
+    }
+
+    impl World for TestWorld {
+        fn irq(&mut self, _m: &mut M, cx: IrqCx) -> u64 {
+            let Some(&(label, cycles)) = self.isrs.get(&(cx.domain, cx.irq)) else {
+                return 0;
+            };
+            self.log.push((cx.now.as_ns(), label));
+            cycles
+        }
+
+        fn power_changed(&mut self, _m: &mut M, core: CoreId, state: PowerState) {
+            self.power.push((core, state));
+        }
+
+        fn timer(&mut self, m: &mut M, id: u64) {
+            self.fired.push((m.now(), id));
+        }
     }
 
     fn omap4_cores() -> Vec<CoreDesc> {
@@ -2341,7 +2327,7 @@ mod tests {
         Machine::new(omap4_cores(), 64 * 1024 * 1024)
     }
 
-    type StepHook = Box<dyn FnMut(&mut World, &mut M, TaskCx, usize) + Send>;
+    type StepHook = Box<dyn FnMut(&mut TestWorld, &mut M, TaskCx, usize) + Send>;
 
     /// Runs a closure sequence: each step call pops the next action.
     struct Script {
@@ -2362,8 +2348,8 @@ mod tests {
         }
     }
 
-    impl Task<World> for Script {
-        fn step(&mut self, w: &mut World, m: &mut M, cx: TaskCx) -> Step {
+    impl Task<TestWorld> for Script {
+        fn step(&mut self, w: &mut TestWorld, m: &mut M, cx: TaskCx) -> Step {
             if let Some(f) = &mut self.on_step {
                 f(w, m, cx, self.i);
             }
@@ -2381,7 +2367,7 @@ mod tests {
     #[test]
     fn compute_advances_time_by_cycles() {
         let mut m = machine();
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         m.spawn(
             CoreId(0),
             Script::new("t", vec![Step::Compute { cycles: 350_000 }]),
@@ -2395,7 +2381,7 @@ mod tests {
 
     #[test]
     fn same_cycles_take_longer_on_weak_core() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(2),
@@ -2408,7 +2394,7 @@ mod tests {
 
     #[test]
     fn tasks_on_different_cores_run_concurrently() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2436,7 +2422,7 @@ mod tests {
 
     #[test]
     fn tasks_on_same_core_serialise() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         for n in ["a", "b"] {
             m.spawn(
@@ -2456,7 +2442,7 @@ mod tests {
 
     #[test]
     fn sleep_lets_core_idle_and_wakes() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2480,7 +2466,7 @@ mod tests {
 
     #[test]
     fn idle_core_goes_inactive_after_timeout() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.run_until(SimTime::ZERO + SimDuration::from_secs(6), &mut w);
         assert_eq!(m.core_power_state(CoreId(0)), PowerState::Inactive);
@@ -2489,7 +2475,7 @@ mod tests {
 
     #[test]
     fn activity_resets_inactive_timeout() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         // Busy for 4 s via many compute steps would be simplest, but a
         // single long compute works: after it finishes at 4 s, the timeout
@@ -2522,13 +2508,13 @@ mod tests {
 
     #[test]
     fn mailbox_send_raises_receiver_irq_and_wakes_waiter() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         // Weak domain unmasks its mailbox line.
         m.irq_unmask(DomainId::WEAK, IrqId::MBOX_D1, &mut w);
         struct Sender;
-        impl Task<World> for Sender {
-            fn step(&mut self, _w: &mut World, m: &mut M, _cx: TaskCx) -> Step {
+        impl Task<TestWorld> for Sender {
+            fn step(&mut self, _w: &mut TestWorld, m: &mut M, _cx: TaskCx) -> Step {
                 m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(0xbeef));
                 Step::Done
             }
@@ -2543,7 +2529,7 @@ mod tests {
             ],
         );
         let mut rx = receiver;
-        rx.on_step = Some(Box::new(|w: &mut World, m: &mut M, _cx, i| {
+        rx.on_step = Some(Box::new(|w: &mut TestWorld, m: &mut M, _cx, i| {
             if i == 1 {
                 let env = m.mailbox_recv(DomainId::WEAK).expect("mail present");
                 assert_eq!(env.mail, Mail(0xbeef));
@@ -2559,17 +2545,10 @@ mod tests {
 
     #[test]
     fn irq_hook_runs_and_charges_core() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.irq_unmask(DomainId::WEAK, IrqId::NET, &mut w);
-        m.set_irq_hook(
-            DomainId::WEAK,
-            IrqId::NET,
-            Box::new(|w: &mut World, _m, cx| {
-                w.log.push((cx.now.as_ns(), "isr"));
-                2_000 // cycles
-            }),
-        );
+        w.isrs.insert((DomainId::WEAK, IrqId::NET), ("isr", 2_000));
         m.raise_irq_after(IrqId::NET, SimDuration::from_us(10));
         m.run_until(SimTime::ZERO + SimDuration::from_ms(1), &mut w);
         assert_eq!(w.log, vec![(10_000, "isr")]);
@@ -2579,16 +2558,9 @@ mod tests {
 
     #[test]
     fn masked_irq_pends_until_unmask() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
-        m.set_irq_hook(
-            DomainId::WEAK,
-            IrqId::BLOCK,
-            Box::new(|w: &mut World, _m, cx| {
-                w.log.push((cx.now.as_ns(), "blk"));
-                100
-            }),
-        );
+        w.isrs.insert((DomainId::WEAK, IrqId::BLOCK), ("blk", 100));
         m.raise_irq(IrqId::BLOCK, &mut w);
         assert!(w.log.is_empty(), "masked everywhere: must pend");
         m.irq_unmask(DomainId::WEAK, IrqId::BLOCK, &mut w);
@@ -2597,15 +2569,15 @@ mod tests {
 
     #[test]
     fn dma_transfer_copies_bytes_and_interrupts() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.irq_unmask(DomainId::STRONG, IrqId::DMA, &mut w);
         m.ram_mut().write(crate::mem::PhysAddr(0x1000), b"payload!");
         struct Driver {
             state: u8,
         }
-        impl Task<World> for Driver {
-            fn step(&mut self, w: &mut World, m: &mut M, _cx: TaskCx) -> Step {
+        impl Task<TestWorld> for Driver {
+            fn step(&mut self, w: &mut TestWorld, m: &mut M, _cx: TaskCx) -> Step {
                 match self.state {
                     0 => {
                         self.state = 1;
@@ -2635,7 +2607,7 @@ mod tests {
 
     #[test]
     fn charge_remote_delays_busy_core() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2658,7 +2630,7 @@ mod tests {
 
     #[test]
     fn charge_remote_wakes_inactive_core() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.run_until(SimTime::ZERO + SimDuration::from_secs(6), &mut w);
         assert_eq!(m.core_power_state(CoreId(2)), PowerState::Inactive);
@@ -2677,20 +2649,35 @@ mod tests {
 
     #[test]
     fn power_observer_sees_transitions() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
-        m.add_power_observer(Box::new(|w: &mut World, _m, core, state| {
-            if core == CoreId(0) && state == PowerState::Inactive {
-                w.log.push((0, "c0-inactive"));
-            }
-        }));
         m.run_until(SimTime::ZERO + SimDuration::from_secs(6), &mut w);
-        assert!(w.log.iter().any(|(_, s)| *s == "c0-inactive"));
+        assert!(w.power.contains(&(CoreId(0), PowerState::Inactive)));
+    }
+
+    #[test]
+    fn a_timer_pending_at_a_snapshot_fires_once_on_each_side() {
+        // A timer is an event plus an id, so a snapshot may be taken
+        // while one is pending; the fork must then fire it exactly as
+        // the original does.
+        let mut w = TestWorld::default();
+        let mut m = machine();
+        m.run_until(SimTime::ZERO + SimDuration::from_us(10), &mut w);
+        let id = m.call_after(SimDuration::from_ms(3));
+        let due = m.now() + SimDuration::from_ms(3);
+        let snap = m.snapshot();
+        let (mut fork, mut fw): (M, TestWorld) = (Machine::fork(&snap), w.clone());
+        let end = SimTime::ZERO + SimDuration::from_ms(10);
+        m.run_until(end, &mut w);
+        fork.run_until(end, &mut fw);
+        assert_eq!(w.fired, vec![(due, id)]);
+        assert_eq!(fw.fired, vec![(due, id)]);
+        assert_eq!(m.state_digest(), fork.state_digest());
     }
 
     #[test]
     fn yield_round_robins() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2712,7 +2699,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "deadlock")]
     fn blocked_forever_is_deadlock() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(CoreId(0), Script::new("stuck", vec![Step::Block]), &mut w);
         m.run_until_idle(&mut w);
@@ -2720,7 +2707,7 @@ mod tests {
 
     #[test]
     fn block_and_explicit_wake() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         let blocked = m.spawn(
             CoreId(2),
@@ -2728,8 +2715,8 @@ mod tests {
             &mut w,
         );
         struct Waker(TaskId);
-        impl Task<World> for Waker {
-            fn step(&mut self, w: &mut World, m: &mut M, _cx: TaskCx) -> Step {
+        impl Task<TestWorld> for Waker {
+            fn step(&mut self, w: &mut TestWorld, m: &mut M, _cx: TaskCx) -> Step {
                 m.wake(self.0, w);
                 Step::Done
             }
@@ -2745,7 +2732,7 @@ mod tests {
     fn two_cores_of_one_domain_run_concurrently() {
         // The strong domain has two A9s; K2 "can (almost) transparently
         // scale with these additional cores" (§11).
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2776,7 +2763,7 @@ mod tests {
     fn preemption_charges_are_exact() {
         // Three remote charges land mid-compute; the task finishes exactly
         // that much later.
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(2),
@@ -2798,7 +2785,7 @@ mod tests {
 
     #[test]
     fn wake_after_fires_like_a_kernel_timer() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         let t = m.spawn(
             CoreId(0),
@@ -2814,7 +2801,7 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_the_boundary() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(0),
@@ -2840,7 +2827,7 @@ mod tests {
     #[test]
     fn trace_records_dispatch_and_power() {
         use k2_sim::trace::TraceEvent;
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.set_trace(true);
         m.spawn(
@@ -2866,7 +2853,7 @@ mod tests {
         // in spawn (sequence) order; a chooser that always picks the last
         // candidate flips the interleaving without changing what runs.
         let run = |reverse: bool| {
-            let mut w = World::default();
+            let mut w = TestWorld::default();
             let mut m = machine();
             m.spawn(
                 CoreId(0),
@@ -2898,7 +2885,7 @@ mod tests {
 
     #[test]
     fn energy_accounting_across_run() {
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         m.spawn(
             CoreId(2),
@@ -2921,7 +2908,7 @@ mod tests {
         // Waiters parked on four (domain, irq) keys, spawned out of key
         // order, and three DMA transfers in flight: the pinned values
         // hold the fold to key order over both tables.
-        let mut w = World::default();
+        let mut w = TestWorld::default();
         let mut m = machine();
         for (core, irq) in [
             (CoreId(2), IrqId::MBOX_D1),

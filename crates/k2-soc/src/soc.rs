@@ -2,7 +2,7 @@
 
 use crate::core::{CoreDesc, CoreKind};
 use crate::ids::{CoreId, DomainId};
-use crate::platform::Machine;
+use crate::platform::{Machine, World};
 
 /// Builder for a multi-domain SoC machine.
 ///
@@ -86,7 +86,7 @@ impl SocBuilder {
     /// # Panics
     ///
     /// Panics if no cores were added.
-    pub fn build<W>(self) -> Machine<W> {
+    pub fn build<W: World>(self) -> Machine<W> {
         Machine::new(self.cores, self.ram_bytes)
     }
 }

@@ -2,7 +2,7 @@
 
 use k2_sim::time::{SimDuration, SimTime};
 use k2_soc::ids::DomainId;
-use k2_soc::platform::Machine;
+use k2_soc::platform::{Machine, World};
 
 /// A per-domain energy snapshot (the power-rail sampling of §9.2).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -17,7 +17,7 @@ pub struct EnergySnapshot {
 
 impl EnergySnapshot {
     /// Samples both rails.
-    pub fn take<W>(m: &Machine<W>) -> Self {
+    pub fn take<W: World>(m: &Machine<W>) -> Self {
         EnergySnapshot {
             strong_mj: m.domain_energy_mj(DomainId::STRONG),
             weak_mj: if m.domain_count() > 1 {

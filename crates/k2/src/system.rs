@@ -24,10 +24,11 @@ use k2_kernel::kernel::{SharedServices, SystemWorld};
 use k2_kernel::proc::{Pid, ThreadState, Tid};
 use k2_kernel::reliable::{LinkStats, ReliableLink, RetryVerdict, SendTicket};
 use k2_kernel::service::{OpCx, ServiceId};
+use k2_sim::audit::InvariantAuditor;
 use k2_sim::digest::Fnv64;
 use k2_sim::json::JsonWriter;
 use k2_sim::metrics::{CounterId, HistogramId, Key, Tag};
-use k2_sim::time::{dur_to_cycles, SimDuration};
+use k2_sim::time::{dur_to_cycles, SimDuration, SimTime};
 use k2_soc::core::Isa;
 use k2_soc::dma::{DmaStatus, DmaXferId};
 use k2_soc::hwspinlock::{HwLockId, HWSPINLOCK_OP};
@@ -35,7 +36,7 @@ use k2_soc::ids::{CoreId, DomainId, IrqId};
 use k2_soc::mailbox::{Envelope, LinkTag, Mail};
 use k2_soc::mem::{Pfn, PhysAddr};
 use k2_soc::mmu::MmuKind;
-use k2_soc::platform::{Machine, MachineSnapshot, TaskId};
+use k2_soc::platform::{IrqCx, Machine, MachineSnapshot, TaskId, World};
 use k2_soc::power::PowerState;
 use k2_soc::soc::SocBuilder;
 use std::collections::BTreeMap;
@@ -151,6 +152,10 @@ pub struct K2System {
     /// the sender's unacked messages and the receiver's dedup window.
     /// Populated only under fault injection (§6 reliable messaging).
     links: BTreeMap<(u8, u8, u8), ReliableLink>,
+    /// Pending ack deadlines: the link and sequence number of each, keyed
+    /// by the timer id [`Machine::call_after`] returned. Not folded into
+    /// the digest: the timer's queue event is, and so is its link.
+    retries: BTreeMap<u64, ((u8, u8, u8), u32)>,
     /// Resubmission counts for DMA channels currently in recovery.
     dma_retry: BTreeMap<u8, u32>,
     /// NightWatch tasks parked by the gate, per pid.
@@ -165,6 +170,13 @@ pub struct K2System {
     /// Sampling cadence while the sensor is armed.
     sensor_period: Option<SimDuration>,
     sensor_watermark: usize,
+    /// Domains whose mailbox ISR is a raw drain, each with the last
+    /// payload drained. Inserting a domain (with 0) replaces its protocol
+    /// ISR: each mail then costs [`RAW_MAIL_ISR_INSTRUCTIONS`] and only
+    /// its payload is kept, so senders may put any word on the wire. It
+    /// is the DSL's planted last-value-wins bug and the span tests' plain
+    /// mail sink. Not folded into the digest.
+    pub raw_mail: BTreeMap<DomainId, u32>,
     /// Counters.
     pub stats: SystemStats,
     /// The operation context every [`shadowed`] call records into,
@@ -271,6 +283,7 @@ impl K2System {
             dispatch: DispatchTable::new(),
             dma_xfers: BTreeMap::new(),
             links: BTreeMap::new(),
+            retries: BTreeMap::new(),
             dma_retry: BTreeMap::new(),
             nw_parked: BTreeMap::new(),
             sensor_inbox: std::collections::VecDeque::new(),
@@ -279,6 +292,7 @@ impl K2System {
             net_waiters: Vec::new(),
             sensor_period: None,
             sensor_watermark: 0,
+            raw_mail: BTreeMap::new(),
             stats: SystemStats::default(),
             op_cx: OpCx::new(),
             op_ids: OpIds::default(),
@@ -299,15 +313,15 @@ impl K2System {
                 machine.irq_unmask(dom, IrqId::mailbox_for(dom), &mut sys);
             }
         }
-        install_closures(&mut machine, &config);
         (machine, sys)
     }
 
-    /// Freezes a booted system: the machine's complete data state plus a
-    /// structural clone of the world. The pair must be quiescent (no live
-    /// tasks, no pending deferred calls — see [`Machine::snapshot`]); a
-    /// freshly booted system always is. The snapshot is `Send + Sync`, so
-    /// one frozen image can seed forks across worker threads.
+    /// Freezes a system: the machine's complete data state plus a
+    /// structural clone of the world. The machine must have no live
+    /// tasks (see [`Machine::snapshot`]); pending retransmission timers
+    /// are data on both halves and are captured. The snapshot is
+    /// `Send + Sync`, so one frozen image can seed forks across worker
+    /// threads.
     pub fn snapshot(m: &K2Machine, sys: &K2System) -> SystemSnapshot {
         SystemSnapshot {
             machine: m.snapshot(),
@@ -316,17 +330,13 @@ impl K2System {
     }
 
     /// Rehydrates a runnable `(machine, world)` pair from a frozen
-    /// snapshot. Data state is cloned back verbatim; the closure tables a
-    /// snapshot cannot carry (interrupt hooks, the power observer, the
-    /// invariant checks) are re-installed by the same code boot uses, in
-    /// the same order, so a fork is byte-indistinguishable from the
-    /// system the snapshot froze — `fork(s).0.state_digest()` equals
-    /// `s.machine.digest()`.
+    /// snapshot by cloning its two halves. The system's interrupt
+    /// handlers, power handling, timers and audits are [`World`] methods
+    /// on `K2System` that act on its data, so nothing is re-installed and
+    /// a fork is byte-indistinguishable from the system the snapshot
+    /// froze — `fork(s).0.state_digest()` equals `s.machine.digest()`.
     pub fn fork(snap: &SystemSnapshot) -> (K2Machine, K2System) {
-        let mut machine: K2Machine = Machine::fork(&snap.machine);
-        let sys = snap.sys.clone();
-        install_closures(&mut machine, &sys.config);
-        (machine, sys)
+        (Machine::fork(&snap.machine), snap.sys.clone())
     }
 
     /// Streams the machine-wide profile report (see
@@ -576,8 +586,9 @@ impl K2System {
 pub struct SystemSnapshot {
     /// Complete platform data state (cores, queue, peripherals, metrics…).
     pub machine: MachineSnapshot,
-    /// The world. Plain data throughout — every closure a running system
-    /// needs lives in the machine's hook tables, which fork re-installs.
+    /// The world. Plain data throughout, pending retransmission timers
+    /// and raw mail drains included; the code that acts on it is
+    /// `K2System`'s [`World`] implementation.
     pub sys: K2System,
 }
 
@@ -601,86 +612,90 @@ impl SystemSnapshot {
     }
 }
 
-/// Installs everything a machine needs that a snapshot cannot carry: the
-/// per-domain interrupt hooks, the shared-interrupt power observer, and
-/// the conservation-law invariant checks the platform auditor enforces
-/// when enabled. Called once by [`K2System::boot`] and again by
-/// [`K2System::fork`] on every rehydrated machine; registration order is
-/// fixed so boot and fork produce identical hook tables.
-fn install_closures(machine: &mut K2Machine, config: &SystemConfig) {
-    let all_domains: Vec<DomainId> = (0..config.domains).map(DomainId).collect();
-    if config.mode == SystemMode::K2 {
-        install_hooks(machine, &all_domains);
-    } else {
-        install_dma_hook(machine, DomainId::STRONG);
-        install_sensor_hook(machine, DomainId::STRONG);
-        install_net_hook(machine, DomainId::STRONG);
+/// Mailbox ISR cost per mail of a raw drain (see [`K2System::raw_mail`]).
+pub const RAW_MAIL_ISR_INSTRUCTIONS: u64 = 120;
+
+/// The OS side of the machine. Under K2 every domain's kernel serves its
+/// own mailbox line and whichever shared device lines it unmasks; the
+/// baseline serves only the strong domain's shared lines and has no
+/// mailbox ISR and no power handling.
+impl World for K2System {
+    fn irq(&mut self, m: &mut K2Machine, cx: IrqCx) -> u64 {
+        if cx.irq == IrqId::mailbox_for(cx.domain) {
+            return mailbox_isr(self, m, cx.domain);
+        }
+        if self.config.mode == SystemMode::LinuxBaseline && cx.domain != DomainId::STRONG {
+            return 0;
+        }
+        match cx.irq {
+            IrqId::DMA => dma_isr(self, m, cx),
+            IrqId::SENSOR => sensor_isr(self, m, cx),
+            IrqId::NET => net_isr(self, m, cx),
+            _ => 0,
+        }
     }
-    machine.add_invariant_check(
-        "buddy-accounting",
-        Box::new(|w: &K2System| {
-            for k in &w.world.kernels {
-                k.buddy
-                    .validate()
-                    .map_err(|e| format!("kernel {}: {e}", k.domain))?;
+
+    /// Re-routes the shared interrupts on strong-domain transitions (§7).
+    fn power_changed(&mut self, m: &mut K2Machine, core: CoreId, state: PowerState) {
+        if self.config.mode != SystemMode::K2 || m.core_desc(core).domain != DomainId::STRONG {
+            return;
+        }
+        let handoff = match (state, m.domain_power_state(DomainId::STRONG)) {
+            (PowerState::Inactive, PowerState::Inactive) => self.irq_coord.on_strong_inactive(),
+            // Rule 2 applies when the strong domain wakes for *work*;
+            // a blip that only services a DSM request or an interrupt
+            // for the weak domain does not move the shared lines.
+            (PowerState::Active, _) if m.core_has_task_work(core) => {
+                self.irq_coord.on_strong_active()
             }
-            Ok(())
-        }),
-    );
-    machine.add_invariant_check(
-        "dsm-single-writer",
-        Box::new(|w: &K2System| w.dsm.validate()),
-    );
+            _ => None,
+        };
+        if let Some(Handoff { from, to }) = handoff {
+            for irq in SHARED_IRQS {
+                m.irq_mask(from, irq);
+                m.irq_unmask(to, irq, self);
+            }
+        }
+    }
+
+    /// A reliable-link ack deadline fell due.
+    fn timer(&mut self, m: &mut K2Machine, id: u64) {
+        let (link, seq) = self
+            .retries
+            .remove(&id)
+            .expect("an ack deadline fires once");
+        retry_due(self, m, link, seq);
+    }
+
+    /// The conservation laws the platform auditor enforces when enabled.
+    fn audit(&self, now: SimTime, auditor: &mut InvariantAuditor) {
+        let buddies = self.world.kernels.iter().try_for_each(|k| {
+            k.buddy
+                .validate()
+                .map_err(|e| format!("kernel {}: {e}", k.domain))
+        });
+        auditor.check_result(now, "buddy-accounting", buddies);
+        auditor.check_result(now, "dsm-single-writer", self.dsm.validate());
+    }
 }
 
-fn install_hooks(machine: &mut K2Machine, domains: &[DomainId]) {
-    // DMA + sensor handling on whichever domain currently unmasks them.
-    for &dom in domains {
-        install_dma_hook(machine, dom);
-        install_sensor_hook(machine, dom);
-        install_net_hook(machine, dom);
+/// `dom`'s mailbox ISR: hands every mail in the FIFO to the protocols
+/// (NightWatch, DSM notifications, reliable-link acks, free redirects),
+/// or only keeps its payload when `dom` has a raw drain.
+fn mailbox_isr(w: &mut K2System, m: &mut K2Machine, dom: DomainId) -> u64 {
+    let mut cycles = 0u64;
+    if let Some(last) = w.raw_mail.get_mut(&dom) {
+        while let Some(env) = m.mailbox_recv(dom) {
+            *last = env.mail.0;
+            cycles += RAW_MAIL_ISR_INSTRUCTIONS;
+        }
+    } else if w.config.mode == SystemMode::K2 {
+        while let Some(env) = m.mailbox_recv(dom) {
+            cycles += k2_soc::calib::MAILBOX_ISR_INSTRUCTIONS;
+            cycles += handle_mail(w, m, dom, env);
+        }
     }
-    // Mailbox ISRs: protocol messages (NightWatch, DSM notifications,
-    // reliable-link acks, free redirects).
-    for &dom in domains {
-        machine.set_irq_hook(
-            dom,
-            IrqId::mailbox_for(dom),
-            Box::new(move |w: &mut K2System, m: &mut K2Machine, _cx| {
-                let mut cycles = 0u64;
-                while let Some(env) = m.mailbox_recv(dom) {
-                    cycles += k2_soc::calib::MAILBOX_ISR_INSTRUCTIONS;
-                    cycles += handle_mail(w, m, dom, env);
-                }
-                cycles
-            }),
-        );
-    }
-    // Power observer: re-route shared interrupts on strong-domain
-    // transitions (§7).
-    machine.add_power_observer(Box::new(
-        |w: &mut K2System, m: &mut K2Machine, core, state| {
-            if m.core_desc(core).domain != DomainId::STRONG {
-                return;
-            }
-            let handoff = match (state, m.domain_power_state(DomainId::STRONG)) {
-                (PowerState::Inactive, PowerState::Inactive) => w.irq_coord.on_strong_inactive(),
-                // Rule 2 applies when the strong domain wakes for *work*;
-                // a blip that only services a DSM request or an interrupt
-                // for the weak domain does not move the shared lines.
-                (PowerState::Active, _) if m.core_has_task_work(core) => {
-                    w.irq_coord.on_strong_active()
-                }
-                _ => None,
-            };
-            if let Some(Handoff { from, to }) = handoff {
-                for irq in SHARED_IRQS {
-                    m.irq_mask(from, irq);
-                    m.irq_unmask(to, irq, w);
-                }
-            }
-        },
-    ));
+    cycles
 }
 
 /// One reply the simulated network device will deliver.
@@ -692,81 +707,73 @@ struct NetDelivery {
     trace: k2_sim::span::TraceCtx,
 }
 
-fn install_net_hook(machine: &mut K2Machine, dom: DomainId) {
-    machine.set_irq_hook(
-        dom,
-        IrqId::NET,
-        Box::new(move |w: &mut K2System, m: &mut K2Machine, cx| {
-            let Some(d) = w.net_pending.pop_front() else {
-                return 200; // spurious
-            };
-            // A traced datagram gets an rx span parented on the irq
-            // handler span (the current span while this hook runs),
-            // annotated with its trace context so the exporter can
-            // close the cross-machine flow. Span work never changes the
-            // cycles returned, so tracing cannot perturb simulated time.
-            let rx = if d.trace.is_none() {
-                k2_sim::span::SpanId::NONE
-            } else {
-                let mut args = k2_sim::span::SpanArgs::one("trace", d.trace.trace_id);
-                args.push("rparent", d.trace.parent);
-                let now = m.now();
-                m.spans_mut().start_args(now, "net.rx", dom.0, args)
-            };
-            // The device handler pushes the datagram into the socket — a
-            // shadowed network-stack operation like any other.
-            let (res, dur) = shadowed(w, m, cx.core, ServiceId::Net, |s, opcx| {
-                s.net
-                    .deliver_external_traced(d.port, d.src, d.payload, d.trace, opcx)
-            });
-            let rx_end = m.now() + dur;
-            m.spans_mut().end(rx_end, rx);
-            if res.is_ok() {
-                // Wake every waiter, then hand the emptied list back so
-                // the next delivery's waiters reuse its buffer. A task
-                // that registers while the others wake keeps its place.
-                let mut waiters = std::mem::take(&mut w.net_waiters);
-                for &t in &waiters {
-                    m.wake(t, w);
-                }
-                waiters.clear();
-                waiters.append(&mut w.net_waiters);
-                w.net_waiters = waiters;
-            }
-            dur_to_cycles(dur, m.core_desc(cx.core).freq_hz)
-        }),
-    );
+/// The NET ISR: delivers the next reply the simulated network device
+/// holds into its socket and wakes the waiters.
+fn net_isr(w: &mut K2System, m: &mut K2Machine, cx: IrqCx) -> u64 {
+    let Some(d) = w.net_pending.pop_front() else {
+        return 200; // spurious
+    };
+    // A traced datagram gets an rx span parented on the irq handler
+    // span (the current span while this ISR runs), annotated with its
+    // trace context so the exporter can close the cross-machine flow.
+    // Span work never changes the cycles returned, so tracing cannot
+    // perturb simulated time.
+    let rx = if d.trace.is_none() {
+        k2_sim::span::SpanId::NONE
+    } else {
+        let mut args = k2_sim::span::SpanArgs::one("trace", d.trace.trace_id);
+        args.push("rparent", d.trace.parent);
+        let now = m.now();
+        m.spans_mut().start_args(now, "net.rx", cx.domain.0, args)
+    };
+    // The device handler pushes the datagram into the socket — a
+    // shadowed network-stack operation like any other.
+    let (res, dur) = shadowed(w, m, cx.core, ServiceId::Net, |s, opcx| {
+        s.net
+            .deliver_external_traced(d.port, d.src, d.payload, d.trace, opcx)
+    });
+    let rx_end = m.now() + dur;
+    m.spans_mut().end(rx_end, rx);
+    if res.is_ok() {
+        // Wake every waiter, then hand the emptied list back so the next
+        // delivery's waiters reuse its buffer. A task that registers
+        // while the others wake keeps its place.
+        let mut waiters = std::mem::take(&mut w.net_waiters);
+        for &t in &waiters {
+            m.wake(t, w);
+        }
+        waiters.clear();
+        waiters.append(&mut w.net_waiters);
+        w.net_waiters = waiters;
+    }
+    dur_to_cycles(dur, m.core_desc(cx.core).freq_hz)
 }
 
-fn install_sensor_hook(machine: &mut K2Machine, dom: DomainId) {
-    machine.set_irq_hook(
-        dom,
-        IrqId::SENSOR,
-        Box::new(move |w: &mut K2System, m: &mut K2Machine, cx| {
-            let Some(period) = w.sensor_period else {
-                return 200; // spurious: sensor was disabled meanwhile
-            };
-            let watermark = w.sensor_watermark;
-            // The device filled its FIFO to the watermark; the driver
-            // drains it (a shadowed-service operation like any other).
-            let (samples, dur) = shadowed(w, m, cx.core, ServiceId::DmaDriver, |s, opcx| {
-                s.sensor.device_sample(watermark);
-                s.sensor.drain(opcx)
-            });
-            match samples {
-                Ok(batch) if !batch.is_empty() => {
-                    w.sensor_inbox.push_back(batch);
-                    for t in std::mem::take(&mut w.sensor_waiters) {
-                        m.wake(t, w);
-                    }
-                }
-                _ => {}
+/// The SENSOR watermark ISR: drains the device FIFO into the inbox and
+/// re-arms the next watermark interrupt.
+fn sensor_isr(w: &mut K2System, m: &mut K2Machine, cx: IrqCx) -> u64 {
+    let Some(period) = w.sensor_period else {
+        return 200; // spurious: sensor was disabled meanwhile
+    };
+    let watermark = w.sensor_watermark;
+    // The device filled its FIFO to the watermark; the driver drains it
+    // (a shadowed-service operation like any other).
+    let (samples, dur) = shadowed(w, m, cx.core, ServiceId::DmaDriver, |s, opcx| {
+        s.sensor.device_sample(watermark);
+        s.sensor.drain(opcx)
+    });
+    match samples {
+        Ok(batch) if !batch.is_empty() => {
+            w.sensor_inbox.push_back(batch);
+            for t in std::mem::take(&mut w.sensor_waiters) {
+                m.wake(t, w);
             }
-            // Re-arm the next watermark interrupt.
-            m.raise_irq_after(IrqId::SENSOR, period);
-            dur_to_cycles(dur, m.core_desc(cx.core).freq_hz)
-        }),
-    );
+        }
+        _ => {}
+    }
+    // Re-arm the next watermark interrupt.
+    m.raise_irq_after(IrqId::SENSOR, period);
+    dur_to_cycles(dur, m.core_desc(cx.core).freq_hz)
 }
 
 /// Resubmissions of a faulted DMA transfer before the driver gives up.
@@ -774,48 +781,44 @@ const DMA_MAX_RETRIES: u32 = 8;
 /// Driver instructions to verify a completion and re-program the channel.
 const DMA_RESUBMIT_INSTRUCTIONS: u64 = 400;
 
-fn install_dma_hook(machine: &mut K2Machine, dom: DomainId) {
-    machine.set_irq_hook(
-        dom,
-        IrqId::DMA,
-        Box::new(move |w: &mut K2System, m: &mut K2Machine, cx| {
-            let completions = m.dma_take_completions();
-            let mut cycles = 0u64;
-            for c in completions {
-                let Some((channel, waiter)) = w.dma_xfers.remove(&c.id.0) else {
-                    continue;
-                };
-                // Completion verification: a failed or partial transfer is
-                // re-programmed on the same driver channel, bounded by
-                // DMA_MAX_RETRIES resubmissions.
-                if let DmaStatus::Error { .. } = c.status {
-                    let tries = w.dma_retry.entry(channel.0).or_insert(0);
-                    if *tries < DMA_MAX_RETRIES {
-                        *tries += 1;
-                        w.stats.dma_retries += 1;
-                        let lead = m.core_desc(cx.core).cycles(DMA_RESUBMIT_INSTRUCTIONS);
-                        let xfer = m.dma_submit_after(c.src, c.dst, c.len, lead);
-                        w.dma_xfers.insert(xfer.0, (channel, waiter));
-                        cycles += DMA_RESUBMIT_INSTRUCTIONS;
-                        continue;
-                    }
-                    // Exhausted: complete the channel anyway so the driver
-                    // is not wedged; the waiter observes stale data.
-                    w.stats.dma_gave_up += 1;
-                }
-                w.dma_retry.remove(&channel.0);
-                let (res, dur) = shadowed(w, m, cx.core, ServiceId::DmaDriver, |s, opcx| {
-                    s.dma.complete(channel, opcx)
-                });
-                res.expect("completion for busy channel");
-                cycles += dur_to_cycles(dur, m.core_desc(cx.core).freq_hz);
-                if let Some(t) = waiter {
-                    m.wake(t, w);
-                }
+/// The DMA completion ISR: verifies each completion, re-submits failed
+/// transfers, and completes the driver channel and wakes its waiter.
+fn dma_isr(w: &mut K2System, m: &mut K2Machine, cx: IrqCx) -> u64 {
+    let completions = m.dma_take_completions();
+    let mut cycles = 0u64;
+    for c in completions {
+        let Some((channel, waiter)) = w.dma_xfers.remove(&c.id.0) else {
+            continue;
+        };
+        // Completion verification: a failed or partial transfer is
+        // re-programmed on the same driver channel, bounded by
+        // DMA_MAX_RETRIES resubmissions.
+        if let DmaStatus::Error { .. } = c.status {
+            let tries = w.dma_retry.entry(channel.0).or_insert(0);
+            if *tries < DMA_MAX_RETRIES {
+                *tries += 1;
+                w.stats.dma_retries += 1;
+                let lead = m.core_desc(cx.core).cycles(DMA_RESUBMIT_INSTRUCTIONS);
+                let xfer = m.dma_submit_after(c.src, c.dst, c.len, lead);
+                w.dma_xfers.insert(xfer.0, (channel, waiter));
+                cycles += DMA_RESUBMIT_INSTRUCTIONS;
+                continue;
             }
-            cycles
-        }),
-    );
+            // Exhausted: complete the channel anyway so the driver is not
+            // wedged; the waiter observes stale data.
+            w.stats.dma_gave_up += 1;
+        }
+        w.dma_retry.remove(&channel.0);
+        let (res, dur) = shadowed(w, m, cx.core, ServiceId::DmaDriver, |s, opcx| {
+            s.dma.complete(channel, opcx)
+        });
+        res.expect("completion for busy channel");
+        cycles += dur_to_cycles(dur, m.core_desc(cx.core).freq_hz);
+        if let Some(t) = waiter {
+            m.wake(t, w);
+        }
+    }
+    cycles
 }
 
 // ----------------------------------------------------------------------
@@ -877,42 +880,35 @@ fn reliable_send(
     m.metrics_mut()
         .incr(Key::new("link.sent", Tag::DomainPair(from.0, to.0)));
     m.mailbox_send_tagged(from, to, Mail(payload), Some(tag));
-    schedule_retry(m, from, to, chan, ticket);
+    arm_deadline(w, m, (from.0, to.0, chan), ticket);
 }
 
-/// Arms the ack deadline for one in-flight message. When it fires the link
-/// decides: settled (acked meanwhile), retransmit with exponential backoff,
-/// or give up after [`ReliableLink::MAX_ATTEMPTS`].
-fn schedule_retry(m: &mut K2Machine, from: DomainId, to: DomainId, chan: u8, ticket: SendTicket) {
-    let wait = ticket.deadline - m.now();
-    m.call_after(
-        wait,
-        Box::new(move |w: &mut K2System, m: &mut K2Machine| {
-            let Some(link) = w.links.get_mut(&(from.0, to.0, chan)) else {
-                return;
-            };
-            match link.due(ticket.seq, m.now()) {
-                RetryVerdict::Settled => {}
-                RetryVerdict::GaveUp => {
-                    m.metrics_mut()
-                        .incr(Key::new("link.gave_up", Tag::DomainPair(from.0, to.0)));
-                }
-                RetryVerdict::Retry(next) => {
-                    let payload = link
-                        .payload_of(ticket.seq)
-                        .expect("retrying mail is pending");
-                    let tag = LinkTag {
-                        chan,
-                        seq: ticket.seq,
-                    };
-                    m.metrics_mut()
-                        .incr(Key::new("link.retransmit", Tag::DomainPair(from.0, to.0)));
-                    m.mailbox_send_tagged(from, to, Mail(payload), Some(tag));
-                    schedule_retry(m, from, to, chan, next);
-                }
-            }
-        }),
-    );
+/// Arms the ack deadline of one in-flight message on `link`;
+/// [`retry_due`] runs when it fires.
+fn arm_deadline(w: &mut K2System, m: &mut K2Machine, link: (u8, u8, u8), ticket: SendTicket) {
+    let id = m.call_after(ticket.deadline - m.now());
+    w.retries.insert(id, (link, ticket.seq));
+}
+
+/// Message `seq`'s ack deadline on link `key` fell due. The link decides:
+/// settled (acked meanwhile), retransmit with exponential backoff, or
+/// give up after [`ReliableLink::MAX_ATTEMPTS`].
+fn retry_due(w: &mut K2System, m: &mut K2Machine, key: (u8, u8, u8), seq: u32) {
+    let Some(link) = w.links.get_mut(&key) else {
+        return;
+    };
+    let (from, to, chan) = (DomainId(key.0), DomainId(key.1), key.2);
+    let pair = Tag::DomainPair(from.0, to.0);
+    match link.due(seq, m.now()) {
+        RetryVerdict::Settled => {}
+        RetryVerdict::GaveUp => m.metrics_mut().incr(Key::new("link.gave_up", pair)),
+        RetryVerdict::Retry(next) => {
+            let payload = link.payload_of(seq).expect("retrying mail is pending");
+            m.metrics_mut().incr(Key::new("link.retransmit", pair));
+            m.mailbox_send_tagged(from, to, Mail(payload), Some(LinkTag { chan, seq }));
+            arm_deadline(w, m, key, next);
+        }
+    }
 }
 
 /// Dispatches one received envelope. Tagged mails ride a reliable link:
@@ -1021,8 +1017,8 @@ pub fn shadowed<R>(
     service: ServiceId,
     f: impl FnOnce(&mut SharedServices, &mut OpCx) -> R,
 ) -> (R, SimDuration) {
-    // Taken, not borrowed: hooks this call triggers may run a nested
-    // operation, which then records into a context of its own.
+    // Taken, not borrowed: interrupt handlers this call triggers may run
+    // a nested operation, which then records into a context of its own.
     let mut cx = std::mem::take(&mut w.op_cx);
     let r = f(&mut w.world.services, &mut cx);
     let dur = account_op(w, m, core, service, &cx);
@@ -1092,7 +1088,7 @@ fn account_op(
     let plan = w
         .dsm
         .plan_accesses_with_fresh(dom, service, cx.reads(), cx.writes(), cx.fresh());
-    dur += desc.cycles_dur(plan.detection_cycles);
+    dur += desc.cycles(plan.detection_cycles);
     dur += plan.split_cost.time_on(&desc);
     for fault in plan.faults {
         let owner_core = K2System::kernel_core(m, fault.from);
@@ -1157,17 +1153,6 @@ const HWLOCK_BACKOFF_MAX: SimDuration = SimDuration::from_us(64);
 /// Abort-and-retry attempts before declaring the lock dead (a real system
 /// would escalate to a watchdog reset).
 const HWLOCK_MAX_ATTEMPTS: u32 = 64;
-
-/// Cycle-to-duration helper on a core description.
-trait CyclesDur {
-    fn cycles_dur(&self, cycles: u64) -> SimDuration;
-}
-
-impl CyclesDur for k2_soc::core::CoreDesc {
-    fn cycles_dur(&self, cycles: u64) -> SimDuration {
-        self.cycles(cycles)
-    }
-}
 
 fn service_lock(service: ServiceId) -> u16 {
     match service {
@@ -1431,7 +1416,7 @@ pub fn sensor_take_batch(
 }
 
 /// `true` if a started DMA transfer's completion has not yet been
-/// processed by the DMA interrupt hook.
+/// processed by the DMA interrupt handler.
 pub fn dma_is_pending(w: &K2System, xfer: DmaXferId) -> bool {
     w.dma_xfers.contains_key(&xfer.0)
 }

@@ -5,28 +5,18 @@
 
 use k2_sim::sink::SinkMode;
 use k2_sim::time::SimDuration;
-use k2_soc::ids::{DomainId, IrqId};
+use k2_soc::ids::DomainId;
 use k2_soc::mailbox::Mail;
 use k2_workloads::harness::TestSystem;
 
 /// Cross-domain mailbox bursts in both directions — every send opens a
 /// mail span and every delivery an irq span, so span traffic scales with
 /// `rounds` regardless of sink choice. Raw payloads are not protocol
-/// mails, so each domain's mailbox ISR is replaced with a plain drain.
+/// mails, so each domain's mailbox ISR is a raw drain.
 fn run_traffic(mode: SinkMode, rounds: u32) -> TestSystem {
     let mut t = TestSystem::builder().seed(11).span_sink(mode).build();
     for dom in [DomainId::STRONG, DomainId::WEAK] {
-        t.m.set_irq_hook(
-            dom,
-            IrqId::mailbox_for(dom),
-            Box::new(move |_sys, m, _cx| {
-                let mut cycles = 0;
-                while m.mailbox_recv(dom).is_some() {
-                    cycles += 120;
-                }
-                cycles
-            }),
-        );
+        t.sys.raw_mail.insert(dom, 0);
     }
     for round in 0..rounds {
         t.m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(round));
