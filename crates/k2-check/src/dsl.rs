@@ -3,8 +3,9 @@
 //! A `scenarios/*.k2.md` file is an ordinary markdown document whose
 //! fenced code blocks tagged `k2` carry a machine-readable scenario
 //! description. Everything outside those fences is prose documentation;
-//! everything inside compiles onto the single-machine run machinery
-//! ([`FaultSpec`], [`RunOptions`], the `TestSystem` harness), so one file
+//! everything inside parses into the types that run ([`GridRow`],
+//! [`FaultSpec`], [`FleetSpec`]) and compiles onto the single-machine run
+//! machinery ([`RunOptions`], the `TestSystem` harness), so one file
 //! is simultaneously the specification of a workload, the test that pins
 //! its behaviour (via `expect` tables), and the document a reader
 //! studies. The four grid files campaigns explore are named by
@@ -13,7 +14,7 @@
 //!
 //! # Grammar
 //!
-//! Six block kinds, introduced by an info string `k2 <section>
+//! Seven block kinds, introduced by an info string `k2 <section>
 //! [key=value …]`:
 //!
 //! * `k2 scenario` — key/value lines: `name` (required, kebab-case),
@@ -30,9 +31,9 @@
 //!   world's raw mail drain, `K2System::raw_mail`) and reports the
 //!   domain's last payload as `metric`; `send-mail` (`from`, `to`,
 //!   `value`) enqueues a cross-domain mail.
-//! * `k2 faults preset=<name>` — key/value fault knobs (`mail_drop`,
-//!   `mail_duplicate`, `dma_fail`, `dma_partial`, each a rate in
-//!   `[0, 1]`). The preset `none` always exists implicitly.
+//! * `k2 faults preset=<name>` — key/value fault knobs, each a rate in
+//!   `[0, 1]`, named as the rate fields of [`FaultSpec`]. The preset
+//!   `none` always exists implicitly.
 //! * `k2 expect [preset=<name>] [seed=<n>]` — a table `| metric | value |`
 //!   of exact (tolerance-free — the simulator is deterministic)
 //!   assertions against the run's end state, checked by the conformance
@@ -41,15 +42,26 @@
 //!   parameter block interpreted by `k2-bench`'s conformance runner
 //!   instead of the schedule-exploration harness. A file declares either
 //!   a grid/steps workload or an eval, never both.
+//! * `k2 fleet` — key/value lines for a multi-machine run
+//!   ([`crate::fleet::run_fleet`]): `devices` and `hubs` (required),
+//!   `burst`, `bursts`, `epochs`, `period_us`, `epoch_us`,
+//!   `latency_min_us`, `latency_max_us`, `loss`, `reorder` and `trace`
+//!   (`disabled`, `ring`, `ring:<cap>` or `full`). Unset keys keep
+//!   [`FleetSpec::sync_storm`]'s values, and the block must pass
+//!   [`FleetSpec::validate`]. A fleet file declares nothing else but
+//!   expectations.
 //!
 //! Parsing is dependency-free, never panics on malformed input, and
 //! reports every rejection with a 1-based line number. [`ScenarioDef::render`]
 //! emits the canonical block form; parse ∘ render is the identity on the
 //! structural content (prose is documentation, not state).
 
+use crate::fleet::FleetSpec;
 use crate::scenario::{self, FaultSpec, RunOptions, RunOutcome};
 use k2::system::SystemSnapshot;
 use k2_sim::explore::ScheduleChooser;
+use k2_sim::sink::SinkMode;
+use k2_sim::time::SimDuration;
 use k2_soc::ids::DomainId;
 use k2_soc::mailbox::Mail;
 use k2_workloads::harness::{GridRow, TestSystem, Workload};
@@ -81,21 +93,6 @@ impl fmt::Display for DslError {
 
 impl std::error::Error for DslError {}
 
-/// One row of a `k2 grid` table, still in declarative form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GridRowDef {
-    /// Domain whose kernel core hosts the task (`strong` or `weak`).
-    pub domain: DomainId,
-    /// Background-process name.
-    pub task: String,
-    /// The benchmark workload.
-    pub workload: Workload,
-    /// Filesystem-name decorrelation salt.
-    pub salt: u32,
-    /// End-state metric key the row reports under.
-    pub metric: String,
-}
-
 /// One row of a `k2 steps` table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StepDef {
@@ -116,35 +113,6 @@ pub enum StepDef {
         /// Payload word.
         value: u32,
     },
-}
-
-/// A named fault-knob preset (`k2 faults preset=…`). The run seed is a
-/// matrix axis, not part of the preset: [`FaultPreset::spec`] injects it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultPreset {
-    /// Preset name (`none` is reserved for the implicit empty preset).
-    pub name: String,
-    /// Probability a cross-domain mail is silently dropped.
-    pub mail_drop: f64,
-    /// Probability a cross-domain mail is delivered twice.
-    pub mail_duplicate: f64,
-    /// Probability a DMA transfer fails outright.
-    pub dma_fail: f64,
-    /// Probability a DMA transfer completes short.
-    pub dma_partial: f64,
-}
-
-impl FaultPreset {
-    /// The [`FaultSpec`] this preset describes under `seed`.
-    pub fn spec(&self, seed: u64) -> FaultSpec {
-        FaultSpec {
-            seed,
-            mail_drop: self.mail_drop,
-            mail_duplicate: self.mail_duplicate,
-            dma_fail: self.dma_fail,
-            dma_partial: self.dma_partial,
-        }
-    }
 }
 
 /// One `k2 expect` block: exact end-state (or eval-metric) assertions,
@@ -180,77 +148,6 @@ impl EvalSpec {
     }
 }
 
-/// A `k2 fleet` block: topology, workload shape, and fabric model for
-/// the sharded multi-machine driver ([`crate::fleet::run_fleet`]). A
-/// fleet file declares *only* a fleet (plus optional expectations) —
-/// grid/steps workloads and eval descriptors are single-machine.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetDef {
-    /// Device machines (required, ≥ 1).
-    pub devices: u32,
-    /// Hub machines (required, ≥ 1).
-    pub hubs: u32,
-    /// Datagrams per sync burst.
-    pub burst: u32,
-    /// Bursts each device performs.
-    pub bursts: u32,
-    /// Pause between bursts, µs.
-    pub period_us: u64,
-    /// Epoch length, µs.
-    pub epoch_us: u64,
-    /// Number of epochs.
-    pub epochs: u32,
-    /// Fabric latency band minimum, µs (must be positive).
-    pub latency_min_us: u64,
-    /// Fabric latency band maximum, µs.
-    pub latency_max_us: u64,
-    /// Fabric drop probability.
-    pub loss: f64,
-    /// Fabric reorder probability.
-    pub reorder: f64,
-    /// Span sink (`disabled`, `ring`, `ring:<cap>`, or `full`).
-    pub trace: k2_sim::sink::SinkMode,
-}
-
-impl FleetDef {
-    /// The sync-storm defaults every unset key falls back to.
-    fn defaults() -> Self {
-        FleetDef {
-            devices: 0,
-            hubs: 0,
-            burst: 4,
-            bursts: 3,
-            period_us: 20_000,
-            epoch_us: 1_000,
-            epochs: 100,
-            latency_min_us: 2_000,
-            latency_max_us: 8_000,
-            loss: 0.01,
-            reorder: 0.05,
-            trace: k2_sim::sink::SinkMode::Disabled,
-        }
-    }
-
-    /// Converts to a runnable [`FleetSpec`](crate::fleet::FleetSpec)
-    /// under `seed` (workers resolved from `K2CHECK_THREADS`).
-    pub fn spec(&self, seed: u64) -> crate::fleet::FleetSpec {
-        use k2_sim::time::SimDuration;
-        let mut s = crate::fleet::FleetSpec::sync_storm(self.devices, self.hubs);
-        s.seed = seed;
-        s.burst = self.burst;
-        s.bursts = self.bursts;
-        s.period = SimDuration::from_us(self.period_us);
-        s.epoch = SimDuration::from_us(self.epoch_us);
-        s.epochs = self.epochs;
-        s.latency_min = SimDuration::from_us(self.latency_min_us);
-        s.latency_max = SimDuration::from_us(self.latency_max_us);
-        s.loss = self.loss;
-        s.reorder = self.reorder;
-        s.sink = self.trace;
-        s
-    }
-}
-
 /// The parsed, structural content of one `.k2.md` file.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioDef {
@@ -261,17 +158,22 @@ pub struct ScenarioDef {
     /// Rounds each pulse task runs (default 24).
     pub pulse_rounds: u32,
     /// Table-driven workload grid, in file order.
-    pub grid: Vec<GridRowDef>,
+    pub grid: Vec<GridRow>,
     /// Imperative setup steps, in file order.
     pub steps: Vec<StepDef>,
-    /// Named fault presets (excluding the implicit `none`).
-    pub presets: Vec<FaultPreset>,
+    /// Named fault presets in file order (excluding the implicit `none`).
+    /// Their seed is 0: the run seed is a matrix axis, which
+    /// [`ScenarioDef::fault_spec`] injects.
+    pub presets: Vec<(String, FaultSpec)>,
     /// Expectation blocks, in file order.
     pub expects: Vec<ExpectBlock>,
     /// Present on paper-evaluation files; absent on workload scenarios.
     pub eval: Option<EvalSpec>,
-    /// Present on fleet files; absent on single-machine scenarios.
-    pub fleet: Option<FleetDef>,
+    /// Present on fleet files; absent on single-machine scenarios. A
+    /// fleet file declares *only* a fleet (plus optional expectations);
+    /// its seed is the sync-storm default until [`FleetSpec::spec`] sets
+    /// the run's.
+    pub fleet: Option<FleetSpec>,
 }
 
 impl ScenarioDef {
@@ -287,33 +189,23 @@ impl ScenarioDef {
         self.fleet.is_some()
     }
 
-    /// The named fault preset, or `None` if undeclared. The implicit
-    /// `none` preset is always available.
-    pub fn preset(&self, name: &str) -> Option<FaultPreset> {
-        if name == "none" {
-            return Some(FaultPreset {
-                name: "none".to_string(),
-                mail_drop: 0.0,
-                mail_duplicate: 0.0,
-                dma_fail: 0.0,
-                dma_partial: 0.0,
-            });
-        }
-        self.presets.iter().find(|p| p.name == name).cloned()
-    }
-
     /// Every preset name the file's matrix axis expands over: `none`
     /// first, then the declared presets in file order.
     pub fn preset_names(&self) -> Vec<String> {
         let mut names = vec!["none".to_string()];
-        names.extend(self.presets.iter().map(|p| p.name.clone()));
+        names.extend(self.presets.iter().map(|(name, _)| name.clone()));
         names
     }
 
     /// The [`FaultSpec`] for `preset` under `seed`, or `None` for an
-    /// unknown preset name.
+    /// unknown preset name. The implicit `none` preset is always
+    /// available.
     pub fn fault_spec(&self, preset: &str, seed: u64) -> Option<FaultSpec> {
-        self.preset(preset).map(|p| p.spec(seed))
+        let spec = match preset {
+            "none" => FaultSpec::none(),
+            _ => self.presets.iter().find(|(name, _)| name == preset)?.1,
+        };
+        Some(FaultSpec { seed, ..spec })
     }
 
     /// The expectation rows that apply to a `(preset, seed)` cell.
@@ -359,20 +251,9 @@ impl ScenarioDef {
                 ),
             ));
         }
-        let rows = self
-            .grid
-            .iter()
-            .map(|r| GridRow {
-                domain: r.domain,
-                task: r.task.clone(),
-                workload: r.workload,
-                salt: r.salt,
-                metric: r.metric.clone(),
-            })
-            .collect();
         Ok(CompiledScenario {
             name: self.name.clone(),
-            rows,
+            rows: self.grid.clone(),
             steps: self.steps.clone(),
             pulse_cores: self.pulse_cores,
             pulse_rounds: self.pulse_rounds,
@@ -396,17 +277,15 @@ impl ScenarioDef {
             writeln!(s, "hubs: {}", f.hubs).unwrap();
             writeln!(s, "burst: {}", f.burst).unwrap();
             writeln!(s, "bursts: {}", f.bursts).unwrap();
-            writeln!(s, "period_us: {}", f.period_us).unwrap();
-            writeln!(s, "epoch_us: {}", f.epoch_us).unwrap();
+            writeln!(s, "period_us: {}", f.period.as_us()).unwrap();
+            writeln!(s, "epoch_us: {}", f.epoch.as_us()).unwrap();
             writeln!(s, "epochs: {}", f.epochs).unwrap();
-            writeln!(s, "latency_min_us: {}", f.latency_min_us).unwrap();
-            writeln!(s, "latency_max_us: {}", f.latency_max_us).unwrap();
+            writeln!(s, "latency_min_us: {}", f.latency_min.as_us()).unwrap();
+            writeln!(s, "latency_max_us: {}", f.latency_max.as_us()).unwrap();
             writeln!(s, "loss: {}", f.loss).unwrap();
             writeln!(s, "reorder: {}", f.reorder).unwrap();
-            match f.trace {
-                k2_sim::sink::SinkMode::RingBuffer(cap) => {
-                    writeln!(s, "trace: ring:{cap}").unwrap()
-                }
+            match f.sink {
+                SinkMode::RingBuffer(cap) => writeln!(s, "trace: ring:{cap}").unwrap(),
                 mode => writeln!(s, "trace: {}", mode.label()).unwrap(),
             }
             writeln!(s, "```").unwrap();
@@ -455,17 +334,10 @@ impl ScenarioDef {
             }
             writeln!(s, "```").unwrap();
         }
-        for p in &self.presets {
-            writeln!(s, "\n```k2 faults preset={}", p.name).unwrap();
-            for (key, v) in [
-                ("mail_drop", p.mail_drop),
-                ("mail_duplicate", p.mail_duplicate),
-                ("dma_fail", p.dma_fail),
-                ("dma_partial", p.dma_partial),
-            ] {
-                if v != 0.0 {
-                    writeln!(s, "{key}: {v}").unwrap();
-                }
+        for (name, spec) in &self.presets {
+            writeln!(s, "\n```k2 faults preset={name}").unwrap();
+            for (key, v) in spec.knobs() {
+                writeln!(s, "{key}: {v}").unwrap();
             }
             writeln!(s, "```").unwrap();
         }
@@ -663,7 +535,7 @@ pub fn parse(src: &str) -> Result<ScenarioDef, DslError> {
     }
     // Expectation blocks may only reference declared presets.
     for (block, &ln) in def.expects.iter().zip(&expect_lines) {
-        if block.preset != "none" && !def.presets.iter().any(|p| p.name == block.preset) {
+        if def.fault_spec(&block.preset, 0).is_none() {
             return Err(DslError::new(
                 ln,
                 format!(
@@ -808,7 +680,7 @@ fn finish_block(
                 if task.is_empty() || metric.is_empty() {
                     return Err(DslError::new(ln, "grid rows need a task name and a metric"));
                 }
-                def.grid.push(GridRowDef {
+                def.grid.push(GridRow {
                     domain,
                     task,
                     workload,
@@ -879,35 +751,26 @@ fn finish_block(
                     format!("preset name `{name}` must be kebab-case"),
                 ));
             }
-            if def.presets.iter().any(|p| p.name == name) {
+            if def.presets.iter().any(|(n, _)| n == name) {
                 return Err(DslError::new(
                     header_ln,
                     format!("duplicate fault preset `{name}`"),
                 ));
             }
-            let mut preset = FaultPreset {
-                name: name.to_string(),
-                mail_drop: 0.0,
-                mail_duplicate: 0.0,
-                dma_fail: 0.0,
-                dma_partial: 0.0,
-            };
+            let mut spec = FaultSpec::none();
             for (ln, key, value) in kv_lines(body)? {
                 let rate = parse_rate(&value, ln)?;
-                match key.as_str() {
-                    "mail_drop" => preset.mail_drop = rate,
-                    "mail_duplicate" => preset.mail_duplicate = rate,
-                    "dma_fail" => preset.dma_fail = rate,
-                    "dma_partial" => preset.dma_partial = rate,
-                    _ => {
-                        return Err(DslError::new(
-                            ln,
-                            format!("unknown fault knob `{key}` (mail_drop, mail_duplicate, dma_fail, dma_partial)"),
-                        ))
-                    }
-                }
+                *spec.knob_mut(&key).ok_or_else(|| {
+                    DslError::new(
+                        ln,
+                        format!(
+                            "unknown fault knob `{key}` ({})",
+                            FaultSpec::KNOBS.map(|(knob, _)| knob).join(", ")
+                        ),
+                    )
+                })? = rate;
             }
-            def.presets.push(preset);
+            def.presets.push((name.to_string(), spec));
             Ok(())
         }
         "expect" => {
@@ -957,29 +820,22 @@ fn finish_block(
             if def.fleet.is_some() {
                 return Err(DslError::new(header_ln, "duplicate `k2 fleet` block"));
             }
-            let mut f = FleetDef::defaults();
-            let (mut saw_devices, mut saw_hubs) = (false, false);
+            let mut f = FleetSpec::sync_storm(0, 0);
             for (ln, key, value) in kv_lines(body)? {
                 match key.as_str() {
-                    "devices" => {
-                        f.devices = parse_u32(&value, ln)?;
-                        saw_devices = true;
-                    }
-                    "hubs" => {
-                        f.hubs = parse_u32(&value, ln)?;
-                        saw_hubs = true;
-                    }
+                    "devices" => f.devices = parse_u32(&value, ln)?,
+                    "hubs" => f.hubs = parse_u32(&value, ln)?,
                     "burst" => f.burst = parse_u32(&value, ln)?,
                     "bursts" => f.bursts = parse_u32(&value, ln)?,
-                    "period_us" => f.period_us = parse_u64(&value, ln)?,
-                    "epoch_us" => f.epoch_us = parse_u64(&value, ln)?,
+                    "period_us" => f.period = parse_us(&value, ln)?,
+                    "epoch_us" => f.epoch = parse_us(&value, ln)?,
                     "epochs" => f.epochs = parse_u32(&value, ln)?,
-                    "latency_min_us" => f.latency_min_us = parse_u64(&value, ln)?,
-                    "latency_max_us" => f.latency_max_us = parse_u64(&value, ln)?,
+                    "latency_min_us" => f.latency_min = parse_us(&value, ln)?,
+                    "latency_max_us" => f.latency_max = parse_us(&value, ln)?,
                     "loss" => f.loss = parse_rate(&value, ln)?,
                     "reorder" => f.reorder = parse_rate(&value, ln)?,
                     "trace" => {
-                        f.trace = k2_sim::sink::SinkMode::parse(&value).ok_or_else(|| {
+                        f.sink = SinkMode::parse(&value).ok_or_else(|| {
                             DslError::new(
                                 ln,
                                 format!(
@@ -997,30 +853,8 @@ fn finish_block(
                     }
                 }
             }
-            if !saw_devices || !saw_hubs || f.devices == 0 || f.hubs == 0 {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` needs `devices` and `hubs`, both at least 1",
-                ));
-            }
-            if f.devices.saturating_add(f.hubs) > u16::MAX as u32 {
-                return Err(DslError::new(
-                    header_ln,
-                    "fleet too large: machine addresses are u16",
-                ));
-            }
-            if f.epoch_us == 0 || f.epochs == 0 || f.burst == 0 || f.bursts == 0 {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` epoch_us, epochs, burst, and bursts must be positive",
-                ));
-            }
-            if f.latency_min_us == 0 || f.latency_min_us > f.latency_max_us {
-                return Err(DslError::new(
-                    header_ln,
-                    "`k2 fleet` latency band needs 0 < latency_min_us <= latency_max_us",
-                ));
-            }
+            f.validate()
+                .map_err(|e| DslError::new(header_ln, format!("`k2 fleet`: {e}")))?;
             def.fleet = Some(f);
             Ok(())
         }
@@ -1217,6 +1051,15 @@ fn parse_u64(s: &str, ln: usize) -> Result<u64, DslError> {
     };
     let n: u64 = digits.parse().map_err(|_| bad())?;
     n.checked_mul(mult).ok_or_else(bad)
+}
+
+/// Parses a `*_us` microsecond count into a duration, rejecting one the
+/// simulator's 64-bit nanosecond clock cannot hold.
+fn parse_us(s: &str, ln: usize) -> Result<SimDuration, DslError> {
+    parse_u64(s, ln)?
+        .checked_mul(1_000)
+        .map(SimDuration::from_ns)
+        .ok_or_else(|| DslError::new(ln, format!("{s} µs overflows the 64-bit nanosecond clock")))
 }
 
 fn parse_u32(s: &str, ln: usize) -> Result<u32, DslError> {
@@ -1437,13 +1280,12 @@ mod tests {
 
     #[test]
     fn fleet_trace_key_selects_the_span_sink() {
-        use k2_sim::sink::SinkMode;
         let src = |trace: &str| {
             format!("```k2 scenario\nname: t\n```\n```k2 fleet\ndevices: 4\nhubs: 1\n{trace}```\n")
         };
         // Unset defaults to disabled: fleet runs trace nothing.
         let def = parse(&src("")).unwrap();
-        assert_eq!(def.fleet.as_ref().unwrap().trace, SinkMode::Disabled);
+        assert_eq!(def.fleet.as_ref().unwrap().sink, SinkMode::Disabled);
         assert_eq!(def.fleet.as_ref().unwrap().spec(1).sink, SinkMode::Disabled);
         for (line, want) in [
             ("trace: full\n", SinkMode::Full),
@@ -1453,7 +1295,7 @@ mod tests {
         ] {
             let def = parse(&src(line)).unwrap();
             let f = def.fleet.as_ref().unwrap();
-            assert_eq!(f.trace, want, "{line}");
+            assert_eq!(f.sink, want, "{line}");
             assert_eq!(f.spec(1).sink, want, "{line}");
             // The canonical render keeps the sink through a round trip.
             assert_eq!(parse(&def.render()).unwrap(), def, "{line}");

@@ -539,12 +539,13 @@ pub struct Campaign {
     seed: u64,
     budget: u32,
     threads: usize,
-    corpus_capacity: usize,
 }
 
 impl Campaign {
     /// A campaign with the fault-free spec, a default budget of 200
-    /// runs, the default corpus capacity, and automatic threads.
+    /// runs, and automatic threads. A coverage-guided campaign's corpus
+    /// holds [`DEFAULT_CAPACITY`](crate::corpus::DEFAULT_CAPACITY)
+    /// schedules.
     pub fn new(scenario: Scenario, strategy: Strategy, seed: u64) -> Self {
         Campaign {
             scenario,
@@ -553,7 +554,6 @@ impl Campaign {
             seed,
             budget: 200,
             threads: 0,
-            corpus_capacity: crate::corpus::DEFAULT_CAPACITY,
         }
     }
 
@@ -578,12 +578,6 @@ impl Campaign {
     /// byte-identical for every thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the corpus capacity (coverage-guided only).
-    pub fn corpus_capacity(mut self, capacity: usize) -> Self {
-        self.corpus_capacity = capacity;
         self
     }
 
@@ -682,7 +676,7 @@ impl Campaign {
             baseline.span_shape,
         );
 
-        let mut corpus = Corpus::new(self.corpus_capacity);
+        let mut corpus = Corpus::new(crate::corpus::DEFAULT_CAPACITY);
         corpus.mark_seen(baseline_fp);
         let arities: Vec<u32> = recorder.class_trace().iter().map(|&(_, a)| a).collect();
         let mut frontier = Frontier::new(&arities);

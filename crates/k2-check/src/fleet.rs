@@ -70,8 +70,10 @@ pub const DGRAM: usize = 64;
 /// A fleet run: topology, workload shape, fabric model, and schedule.
 ///
 /// Machines `0..hubs` are hubs; machines `hubs..hubs+devices` are
-/// devices. Device `i` syncs against hub `i % hubs`.
-#[derive(Clone, Debug)]
+/// devices. Device `i` syncs against hub `i % hubs`. A `k2 fleet` block
+/// in a scenario file parses into this type
+/// ([`ScenarioDef::fleet`](crate::dsl::ScenarioDef::fleet)).
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetSpec {
     /// Device machines (fleet members that generate sync bursts).
     pub devices: u32,
@@ -112,7 +114,8 @@ pub struct FleetSpec {
 
 impl FleetSpec {
     /// The sync-storm defaults at a given fleet size (1,000 devices and
-    /// 4 hubs is the committed scenario).
+    /// 4 hubs is the committed scenario). Every key a `k2 fleet` block
+    /// leaves unset keeps its value from here.
     pub fn sync_storm(devices: u32, hubs: u32) -> Self {
         FleetSpec {
             devices,
@@ -133,14 +136,24 @@ impl FleetSpec {
         }
     }
 
+    /// This spec under the run's `seed` (a parsed `k2 fleet` block
+    /// carries the sync-storm default).
+    pub fn spec(&self, seed: u64) -> FleetSpec {
+        FleetSpec {
+            seed,
+            ..self.clone()
+        }
+    }
+
     /// Total machine count (hubs + devices).
     pub fn machines(&self) -> u32 {
         self.hubs + self.devices
     }
 
-    /// Checks the spec is well-formed (the rules the DSL's `k2 fleet`
-    /// parser applies) and names the first broken one. Every `run_fleet*`
-    /// entry point refuses a spec that fails this.
+    /// Checks the spec is well-formed and names the first broken rule.
+    /// These are the only fleet rules: the `k2 fleet` parser reports a
+    /// failure at the block's header line, and every `run_fleet*` entry
+    /// point refuses a spec that fails this.
     pub fn validate(&self) -> Result<(), String> {
         let rate = 0.0..=1.0;
         let broken = if self.devices == 0 || self.hubs == 0 {

@@ -52,7 +52,7 @@ pub mod schedule;
 pub mod shrink;
 
 pub use corpus::Corpus;
-pub use dsl::{CompiledScenario, DslError, FleetDef, ScenarioDef};
+pub use dsl::{CompiledScenario, DslError, ScenarioDef};
 pub use explorer::{
     check_failure, run_recorded, Campaign, CampaignReport, Failure, FailureKind, Strategy,
 };

@@ -54,7 +54,19 @@ pub struct FaultSpec {
     pub dma_partial: f64,
 }
 
+/// Selects one rate field of a [`FaultSpec`].
+type Knob = fn(&mut FaultSpec) -> &mut f64;
+
 impl FaultSpec {
+    /// The four fault knobs, by name: the one list the `k2 faults`
+    /// parser, the canonical render and the spec shrinker read.
+    pub(crate) const KNOBS: [(&'static str, Knob); 4] = [
+        ("mail_drop", |s| &mut s.mail_drop),
+        ("mail_duplicate", |s| &mut s.mail_duplicate),
+        ("dma_fail", |s| &mut s.dma_fail),
+        ("dma_partial", |s| &mut s.dma_partial),
+    ];
+
     /// The fault-free envelope.
     pub fn none() -> Self {
         FaultSpec {
@@ -89,29 +101,27 @@ impl FaultSpec {
         )
     }
 
-    /// The nonzero knobs, with setters, for the spec shrinker.
+    /// The named knob, or `None` for an unknown name.
+    pub(crate) fn knob_mut(&mut self, name: &str) -> Option<&mut f64> {
+        let (_, knob) = Self::KNOBS.iter().find(|(k, _)| *k == name)?;
+        Some(knob(self))
+    }
+
+    /// The nonzero knobs with their rates, in [`FaultSpec::KNOBS`] order.
     pub(crate) fn knobs(&self) -> Vec<(&'static str, f64)> {
-        [
-            ("mail_drop", self.mail_drop),
-            ("mail_duplicate", self.mail_duplicate),
-            ("dma_fail", self.dma_fail),
-            ("dma_partial", self.dma_partial),
-        ]
-        .into_iter()
-        .filter(|&(_, v)| v != 0.0)
-        .collect()
+        let mut s = *self;
+        Self::KNOBS
+            .iter()
+            .map(|&(name, knob)| (name, *knob(&mut s)))
+            .filter(|&(_, v)| v != 0.0)
+            .collect()
     }
 
     /// Returns a copy with the named knob zeroed.
     pub(crate) fn without(&self, knob: &str) -> FaultSpec {
         let mut s = *self;
-        match knob {
-            "mail_drop" => s.mail_drop = 0.0,
-            "mail_duplicate" => s.mail_duplicate = 0.0,
-            "dma_fail" => s.dma_fail = 0.0,
-            "dma_partial" => s.dma_partial = 0.0,
-            _ => unreachable!("unknown fault knob {knob}"),
-        }
+        *s.knob_mut(knob)
+            .unwrap_or_else(|| unreachable!("unknown fault knob {knob}")) = 0.0;
         s
     }
 }

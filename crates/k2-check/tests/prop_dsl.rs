@@ -148,6 +148,42 @@ fn malformed_files_are_rejected_with_line_numbers() {
             4,
             "u16",
         ),
+        // Fleet: empty bursts.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\nburst: 0\n```\n",
+            4,
+            "positive",
+        ),
+        // Fleet: no bursts at all.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\nbursts: 0\n```\n",
+            4,
+            "positive",
+        ),
+        // Fleet: no epochs.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\nepochs: 0\n```\n",
+            4,
+            "positive",
+        ),
+        // Fleet: negative reorder probability.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\nreorder: -0.1\n```\n",
+            7,
+            "out of range",
+        ),
+        // Fleet: a trace ring with no room.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\ntrace: ring:0\n```\n",
+            7,
+            "trace",
+        ),
+        // Fleet: a period past the 64-bit nanosecond clock.
+        (
+            "```k2 scenario\nname: a\n```\n```k2 fleet\ndevices: 10\nhubs: 2\nperiod_us: 20000000000000000\n```\n",
+            7,
+            "overflows",
+        ),
     ];
     for (src, line, fragment) in cases {
         let err = dsl::parse(src).expect_err(&format!("should reject: {src:?}"));

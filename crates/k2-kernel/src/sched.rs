@@ -124,11 +124,6 @@ impl RunQueue {
     pub fn switches(&self) -> u64 {
         self.switches
     }
-
-    /// A thread's accumulated virtual runtime, if runnable.
-    pub fn vruntime_of(&self, tid: Tid) -> Option<u64> {
-        self.threads.get(&tid.0).map(|&(vr, _)| vr)
-    }
 }
 
 #[cfg(test)]

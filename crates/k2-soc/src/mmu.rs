@@ -200,11 +200,6 @@ impl Mmu {
     pub fn l1_tlb(&self) -> Option<&Tlb> {
         self.l1.as_ref()
     }
-
-    /// Main TLB statistics.
-    pub fn main_tlb(&self) -> &Tlb {
-        &self.main
-    }
 }
 
 #[cfg(test)]

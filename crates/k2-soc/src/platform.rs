@@ -457,12 +457,13 @@ impl MachineState {
     /// the length of the task-slot table kept beside the state.
     ///
     /// `observability: true` (the full digest) folds everything, span
-    /// tracker included. `observability: false` folds only *simulation*
-    /// state — span ids and sink contents are left out, so two machines
-    /// that differ solely in how they are being observed (disabled vs ring
-    /// vs full sink) digest identically. The fleet pins this sim digest:
-    /// equal across sink modes is the proof that observation never
-    /// perturbs simulated time.
+    /// tracker and event-trace ring included. `observability: false`
+    /// folds only *simulation* state — span ids, sink contents and the
+    /// event-trace ring are left out, so two machines that differ solely
+    /// in how they are being observed (disabled vs ring vs full sink,
+    /// trace ring on or off) digest identically. The fleet pins this sim
+    /// digest: equal across sink modes is the proof that observation
+    /// never perturbs simulated time.
     fn digest(&self, task_slots: usize, observability: bool) -> u64 {
         let mut h = Fnv64::new();
         let h = &mut h;
@@ -528,7 +529,14 @@ impl MachineState {
                 h.u32(t.0);
             }
         }
-        self.trace.digest_into(h);
+        if observability {
+            self.trace.digest_into(h);
+        } else {
+            // The trace ring's slot: what a fresh, disabled default ring
+            // folds (capacity, drops, enabled, records), so pinned sim
+            // digests hold.
+            h.usize(TRACE_CAPACITY).u64(0).bool(false).usize(0);
+        }
         // Slot of a removed always-false debug flag, kept so pinned digests hold.
         h.bool(false);
         match &self.fault_plan {
@@ -558,6 +566,9 @@ impl MachineState {
         h.finish()
     }
 }
+
+/// Records the event-trace ring of a new machine holds.
+const TRACE_CAPACITY: usize = 4096;
 
 impl<W: World> Machine<W> {
     /// Builds a machine from core descriptions and RAM size.
@@ -601,7 +612,7 @@ impl<W: World> Machine<W> {
             );
         }
         let n_cores = core_rts.len();
-        let mut trace = Trace::new(4096);
+        let mut trace = Trace::new(TRACE_CAPACITY);
         trace.set_enabled(false);
         let state = MachineState {
             now: SimTime::ZERO,
@@ -690,9 +701,10 @@ impl<W: World> Machine<W> {
     }
 
     /// The *simulation* digest: [`Machine::state_digest`] minus every
-    /// observability-only term (span ids, sink contents, sink identity).
-    /// Two machines running the same workload under different trace
-    /// sinks — disabled, ring, full — agree here; the fleet driver pins
+    /// observability-only term (span ids, sink contents, sink identity,
+    /// the event-trace ring). Two machines running the same workload
+    /// under different trace sinks — disabled, ring, full — or with the
+    /// event-trace ring on or off agree here; the fleet driver pins
     /// this digest precisely so that turning tracing on can never change
     /// a pinned run.
     pub fn sim_digest(&self) -> u64 {
@@ -2928,5 +2940,37 @@ mod tests {
         assert_eq!(m.state.dma_inflight.len(), 3);
         assert_eq!(m.state_digest(), 0x7959_28bc_5822_864d);
         assert_eq!(m.sim_digest(), 0x1a98_e1e0_3091_92fe);
+    }
+
+    #[test]
+    fn the_event_trace_ring_is_left_out_of_the_sim_digest() {
+        // One workload with the ring off, on, and on with a wider window:
+        // the three runs simulate the same thing and record differently.
+        let run = |setup: fn(&mut M)| {
+            let mut w = TestWorld::default();
+            let mut m = machine();
+            setup(&mut m);
+            m.spawn(
+                CoreId(0),
+                Script::new("t", vec![Step::Compute { cycles: 350 }]),
+                &mut w,
+            );
+            m.mailbox_send(DomainId::STRONG, DomainId::WEAK, Mail(7));
+            m.run_until(SimTime::ZERO + SimDuration::from_ms(5), &mut w);
+            (m.sim_digest(), m.state_digest(), m.trace().iter().count())
+        };
+        let off = run(|_| {});
+        let on = run(|m| m.set_trace(true));
+        let wide = run(|m| {
+            m.set_trace_capacity(1 << 16);
+            m.set_trace(true);
+        });
+        assert_eq!(off.2, 0);
+        assert!(on.2 > 0 && on.2 == wide.2, "{on:?} {wide:?}");
+        assert_eq!(on.0, off.0);
+        assert_eq!(wide.0, off.0);
+        assert_ne!(on.1, off.1);
+        assert_ne!(wide.1, on.1);
+        assert_ne!(wide.1, off.1);
     }
 }

@@ -320,11 +320,6 @@ pub fn run_shared_driver(mode: SystemMode, batch: u64, duration: SimDuration) ->
     }
 }
 
-/// Convenience used by tests: the simulated instant `secs` seconds in.
-pub fn at_secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
-
 /// Builds the benchmark task for `workload` — the four-arm match every
 /// scenario used to repeat inline. `salt` decorrelates on-disk names
 /// between runs that share a filesystem (ext2 only).
@@ -356,8 +351,8 @@ pub fn bench_task(
 
 /// One row of a table-driven task grid: which domain runs which workload
 /// under which label. [`TestSystem::spawn_grid`] spawns a slice of these
-/// in order; the declarative scenario DSL compiles its `grid` tables to
-/// exactly this shape.
+/// in order; the declarative scenario DSL parses its `grid` tables into
+/// this type.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GridRow {
     /// Domain whose kernel core hosts the task.

@@ -7,7 +7,6 @@
 //! and under the Linux baseline (as a normal thread on the strong domain) —
 //! which is exactly the single-system-image property the paper claims.
 
-use crate::record::EnergySnapshot;
 use k2::system::{
     self, alloc_pages, dma_start, free_pages, nw_can_run, nw_park, shadowed, K2Machine, K2System,
 };
@@ -537,11 +536,6 @@ impl Task<K2System> for MetaDaemonTask {
     fn name(&self) -> &str {
         "meta-daemon"
     }
-}
-
-/// Convenience: energy consumed by both domains since `since`.
-pub fn energy_since(m: &K2Machine, since: &EnergySnapshot) -> f64 {
-    EnergySnapshot::take(m).consumed_since(since)
 }
 
 /// One logical light thread inside a [`MultiplexTask`].

@@ -24,7 +24,7 @@
 //! them to Table 5 within tolerance.
 
 use k2_kernel::cost::Cost;
-use k2_sim::time::{SimDuration, SimTime};
+use k2_sim::time::SimDuration;
 use k2_soc::core::{CoreDesc, CoreKind};
 use k2_soc::mailbox::MAIL_LATENCY;
 
@@ -142,11 +142,6 @@ impl FaultBreakdown {
     pub fn owner_charge(&self) -> (SimDuration, SimDuration) {
         let offset = self.local_fault + self.protocol + self.communication + self.owner_wake;
         (self.servicing, offset)
-    }
-
-    /// When within a fault starting at `start` the owner begins servicing.
-    pub fn owner_service_start(&self, start: SimTime) -> SimTime {
-        start + self.owner_charge().1
     }
 }
 

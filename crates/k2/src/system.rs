@@ -191,8 +191,9 @@ pub struct K2System {
 /// a call indexes the machine's registry instead of walking its key
 /// directory. Like the platform's own hot-id caches, a slot is filled at
 /// the key's first real bump — registration order, and so every digest
-/// and report, is the same as bumping by key. Indexed by domain (at
-/// most four); plain data, never folded into a digest.
+/// and report, is the same as bumping by key. Indexed by domain (the
+/// SoCs have two or three; the tables hold four); plain data, never
+/// folded into a digest.
 #[derive(Clone, Copy, Debug, Default)]
 struct OpIds {
     /// `svc.shadowed[dom]`.
@@ -208,11 +209,16 @@ struct OpIds {
 impl K2System {
     /// Boots a system on the OMAP4 model. Returns the machine and world,
     /// ready for task spawning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.domains` is neither 2 nor 3: those are the SoCs
+    /// that exist.
     pub fn boot(config: SystemConfig) -> (K2Machine, K2System) {
-        assert!((2..=4).contains(&config.domains), "2-4 domains supported");
         let builder = match config.domains {
             2 => SocBuilder::omap4(),
-            _ => SocBuilder::three_domain(),
+            3 => SocBuilder::three_domain(),
+            n => panic!("no SoC with {n} coherence domains: 2 or 3 are supported"),
         };
         let mut machine: K2Machine = builder.build();
         if config.a9_freq_mhz != 350 {
@@ -1533,6 +1539,15 @@ mod tests {
         assert_eq!(main_pages, 8192 + 8 * 4096);
         let shadow_pages = sys.world.kernels[1].buddy.managed_page_count();
         assert_eq!(shadow_pages, 4096 + 2 * 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "no SoC with 4 coherence domains")]
+    fn booting_four_domains_names_the_unsupported_count() {
+        K2System::boot(SystemConfig {
+            domains: 4,
+            ..SystemConfig::k2()
+        });
     }
 
     #[test]
